@@ -63,7 +63,6 @@ from .stability import (
     is_hurwitz_stable,
     jacobi_classify,
     lyapunov_classify,
-    polynomial_roots,
 )
 
 __version__ = "0.1.0"

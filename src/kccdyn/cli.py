@@ -10,9 +10,9 @@ Systems come either from a built-in name (see `models`) or from a
 definition file (INI-style key/value sections, documented in the README).
 Reports print with 6 significant digits; --format json emits every number
 through repr so parsing the output recovers each value bit-identically.
-Exit codes: 0 success, 1 input error, 2 no fixed point found,
-3 integration divergence. Diagnostics go to stderr; set KCC_LOG=DEBUG (or
-any logging level) for more.
+Exit codes: 0 success, 1 input error, 2 no fixed point found or none could
+be analysed, 3 integration divergence. Diagnostics go to stderr; set
+KCC_LOG=DEBUG (or any logging level) for more.
 """
 
 from __future__ import annotations
@@ -270,9 +270,12 @@ def _cmd_analyze(args) -> int:
                 definition.field, point, residual_tol=max(args.tol, 1e-8)))
         except (stability.NotAFixedPointError, stability.RootConvergenceError) as err:
             log.warning("analysis failed at %s: %s", point.tolist(), err)
-            print(f"warning: analysis failed at {point.tolist()}: {err}", file=sys.stderr)
     if not reports:
-        print("no fixed point found", file=sys.stderr)
+        if search.points:
+            print(f"{len(search.points)} fixed point(s) found, none could be analysed",
+                  file=sys.stderr)
+        else:
+            print("no fixed point found", file=sys.stderr)
         return EXIT_NO_FIXED_POINT
     if args.format == "json":
         payload = {

@@ -1,11 +1,10 @@
 """Fixed points and their Lyapunov and Jacobi classification.
 
-Eigenvalues go through the characteristic polynomial (Faddeev-LeVerrier
-recurrence, integer divisions only) and an Aberth-Ehrlich simultaneous root
-iteration, so the module needs no external eigensolver. That route is fine
-at desk scale (n up to ~10); for badly conditioned or much larger matrices
-a similarity-reduction eigensolver would be preferable, since polynomial
-coefficients can lose accuracy the roots themselves would keep.
+Eigenvalues come from LAPACK through numpy (Hessenberg QR), which works on
+the matrix itself and so stays accurate where the roots of the
+characteristic polynomial would not. The characteristic polynomial
+(Faddeev-LeVerrier recurrence, integer divisions only) is still computed,
+but only for the report and for the Routh-Hurwitz and Descartes results.
 
 The Jacobi side rests on the fixed-point identity P = 1/4 A^2: the spectrum
 of the deviation tensor is {lambda^2 / 4} for Jacobian eigenvalues lambda,
@@ -43,14 +42,16 @@ __all__ = [
     "is_hurwitz_stable",
     "jacobi_classify",
     "lyapunov_classify",
-    "polynomial_roots",
 ]
 
 HYPERBOLIC_TOL = 1e-9
 
 
 class RootConvergenceError(Exception):
-    """Aberth iteration failed; carries the best iterates and residuals."""
+    """The spectrum cannot be trusted: LAPACK failed, an eigenvalue is not
+    finite, or the two deviation-spectrum routes disagree. Carries the
+    eigenvalue estimates (iterates) and their residuals, each empty where
+    none exist."""
 
     def __init__(self, message: str, iterates, residuals):
         self.iterates = list(iterates)
@@ -109,70 +110,25 @@ def characteristic_polynomial(A) -> CharPoly:
     return CharPoly(coefficients=coeffs)
 
 
-def _aberth(coeffs: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500) -> np.ndarray:
-    """Simultaneous root iteration on a monic polynomial with a_n != 0."""
-    m = coeffs.size - 1
-    if m == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    deriv = coeffs[:-1] * np.arange(m, 0, -1)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    # Uniform on a circle of that radius; the phase offset breaks conjugate
-    # symmetry so the iteration cannot stall on a symmetric configuration.
-    angles = 2.0 * np.pi * np.arange(m) / m + 0.4
-    z = radius * np.exp(1j * angles)
-    for _ in range(max_sweeps):
-        converged = True
-        for k in range(m):
-            p_k = complex(np.polyval(coeffs, z[k]))
-            if p_k == 0:
-                continue
-            dp_k = complex(np.polyval(deriv, z[k]))
-            if dp_k == 0:
-                z[k] += tol * 100.0 * (1.0 + abs(z[k]))
-                converged = False
-                continue
-            newton = p_k / dp_k
-            repulsion = 0.0 + 0.0j
-            for j in range(m):
-                if j != k:
-                    gap = z[k] - z[j]
-                    if gap == 0:
-                        gap = tol * (1.0 + abs(z[k]))
-                    repulsion += 1.0 / gap
-            denom = 1.0 - newton * repulsion
-            if denom == 0:
-                z[k] += tol * 100.0 * (1.0 + abs(z[k]))
-                converged = False
-                continue
-            w = newton / denom
-            z[k] -= w
-            if abs(w) > tol * (1.0 + abs(z[k])):
-                converged = False
-        if converged:
-            return z
-    residuals = [abs(complex(np.polyval(coeffs, zk))) for zk in z]
-    raise RootConvergenceError(
-        f"Aberth iteration did not converge in {max_sweeps} sweeps", z, residuals)
-
-
-def polynomial_roots(p: CharPoly) -> list[complex]:
-    """All roots, sorted by (Re, Im). Exact-zero trailing coefficients are
-    stripped first, each contributing an explicit zero root."""
-    coeffs = list(p.coefficients)
-    zero_roots = 0
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-        zero_roots += 1
-    roots = [0j] * zero_roots
-    if len(coeffs) > 1:
-        roots.extend(_aberth(np.asarray(coeffs)))
-    return sorted(roots, key=lambda z: (z.real, z.imag))
-
-
 def eigenvalues(A) -> list[complex]:
-    """Roots of the characteristic polynomial, sorted by (Re, Im). Complex
-    eigenvalues of a real matrix come out in conjugate pairs."""
-    return polynomial_roots(characteristic_polynomial(A))
+    """LAPACK eigenvalues (numpy's Hessenberg QR), sorted by (Re, Im).
+
+    Complex eigenvalues of a real matrix come out in exact conjugate pairs.
+    Raises RootConvergenceError if LAPACK fails (no convergence, or inf/NaN
+    entries) or returns a non-finite eigenvalue.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    try:
+        eigs = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as err:
+        raise RootConvergenceError(f"eigenvalue computation failed: {err}", [], []) from err
+    if not np.all(np.isfinite(eigs)):
+        raise RootConvergenceError("non-finite eigenvalue", eigs, [])
+    # Adding 0.0 turns -0.0 into 0.0, so reports never print "-0".
+    return sorted((complex(z.real + 0.0, z.imag + 0.0) for z in eigs),
+                  key=lambda z: (z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +374,13 @@ def find_fixed_points(vf: VectorField, seeds=None, box=None, grid: int = 5,
     failures: list[SeedFailure] = []
     for seed in seed_list:
         if seed.shape != (vf.dimension,):
-            failures.append(SeedFailure(tuple(np.ravel(seed)),
+            failures.append(SeedFailure(tuple(np.ravel(seed).tolist()),
                                         f"seed has shape {seed.shape}"))
             continue
         try:
             found = _newton(vf, seed, tol, max_iterations, max_halvings)
         except _SeedError as err:
-            failures.append(SeedFailure(tuple(seed), str(err)))
+            failures.append(SeedFailure(tuple(seed.tolist()), str(err)))
             continue
         if not any(np.max(np.abs(found - p)) <= merge_tol for p in points):
             points.append(found)
@@ -479,7 +435,7 @@ def analyze_fixed_point(vf: VectorField, location, residual_tol: float = 1e-8,
         raise NotAFixedPointError(x, residual, residual_tol)
     A = jacobian(vf, x).entries
     poly = characteristic_polynomial(A)
-    eigs = polynomial_roots(poly)
+    eigs = eigenvalues(A)
     verdict, margin, spectrum_from_eigs = jacobi_classify(eigs, vf.dimension, tol)
     spectrum_direct = eigenvalues(0.25 * (A @ A))
     if not _match_multisets(spectrum_direct, spectrum_from_eigs, 1e-7):

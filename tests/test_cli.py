@@ -35,6 +35,22 @@ grid = 3
 """
 
 
+# S J S^-1 for the 3x3 Jordan block J at -1, S = [[1, 1, 0], [0, 1, 1], [1, 0, 1]].
+# The triple eigenvalue is resolved only to about eps^(1/3), so the two
+# deviation-spectrum routes disagree and the analysis of the origin fails.
+JORDAN_DEFINITION = """\
+[system]
+name = jordan block
+variables = x1, x2, x3
+f1 = -x1 + x2
+f2 = -0.5*x1 - 0.5*x2 + 0.5*x3
+f3 = 0.5*x1 + 0.5*x2 - 1.5*x3
+
+[search]
+seeds = 1, 1, 1
+"""
+
+
 class TestModelsVerb:
     def test_lists_builtins(self, capsys):
         code, out, _ = run_cli(capsys, "models")
@@ -107,6 +123,19 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == EXIT_NO_FIXED_POINT
         assert "no fixed point" in err
+
+    def test_analysis_failure_reported(self, tmp_path, capsys, caplog):
+        path = tmp_path / "jordan.ini"
+        path.write_text(JORDAN_DEFINITION)
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_NO_FIXED_POINT
+        assert "1 fixed point(s) found, none could be analysed" in err
+        assert "no fixed point found" not in err
+        # logged once, not also printed
+        warnings = [r for r in caplog.records
+                    if r.getMessage().startswith("analysis failed at [")]
+        assert len(warnings) == 1
+        assert "warning: analysis failed" not in err
 
     def test_model_and_components_conflict(self, tmp_path, capsys):
         path = tmp_path / "conflict.ini"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,27 @@ class TestNetworkSystem:
         assert_complex_multisets_close(eigenvalues(J), [-1.0, -3.0], 1e-9)
         report = analyze_fixed_point(field, [0.0, 0.0])
         assert report.lyapunov_class == "stable-node"
+        assert report.jacobi_verdict == "Jacobi-unstable"
+
+    @pytest.mark.parametrize("N", [6, 10, 20, 40])
+    @pytest.mark.parametrize("kind", ["ring", "path", "complete"])
+    def test_origin_analysis_matches_laplacian_spectrum(self, kind, N):
+        # F = u - u^3, H = sin(u): J(0) = I - sigma L, eigenvalues 1 - sigma eig(L)
+        k = np.arange(N)
+        if kind == "ring":
+            edges = [(i, (i + 1) % N) for i in range(N)]
+            lap = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / N)
+        elif kind == "path":
+            edges = [(i, i + 1) for i in range(N - 1)]
+            lap = 2.0 - 2.0 * np.cos(np.pi * k / N)
+        else:
+            edges = list(itertools.combinations(range(N), 2))
+            lap = np.where(k == 0, 0.0, float(N))
+        spec = NetworkSpec.uniform(AdjacencyGraph.from_edges(N, edges),
+                                   "u - u^3", "sin(u)", sigma=0.8)
+        report = analyze_fixed_point(network_system(spec), np.zeros(N))
+        assert_complex_multisets_close(report.eigenvalues, 1.0 - 0.8 * lap, 1e-9)
+        assert report.lyapunov_class == "saddle"
         assert report.jacobi_verdict == "Jacobi-unstable"
 
     def test_deviation_tensor_matches_closed_form(self):

@@ -7,6 +7,7 @@ from kccdyn.odesys import VectorField
 from kccdyn.stability import (
     CharPoly,
     NotAFixedPointError,
+    RootConvergenceError,
     analyze_fixed_point,
     characteristic_polynomial,
     descartes_bound,
@@ -17,7 +18,6 @@ from kccdyn.stability import (
     is_hurwitz_stable,
     jacobi_classify,
     lyapunov_classify,
-    polynomial_roots,
 )
 
 from helpers import assert_complex_multisets_close
@@ -113,8 +113,18 @@ class TestEigenvalues:
             n = int(rng.integers(1, 7))
             A = rng.standard_normal((n, n))
             p = characteristic_polynomial(A)
-            for lam in polynomial_roots(p):
+            for lam in eigenvalues(A):
                 assert abs(p(lam)) <= 1e-7 * (1.0 + abs(lam) ** n)
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0], [np.inf, 1.0]],
+        # finite entries, but the eigenvalue 2e308 overflows to inf
+        [[1e308, 1e308], [1e308, 1e308]],
+    ])
+    def test_non_finite_raises(self, A):
+        with pytest.raises(RootConvergenceError):
+            eigenvalues(np.array(A))
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(3)
@@ -259,8 +269,8 @@ class TestJacobiClassify:
 
     def test_scaling_lemma(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
+        for trial in range(51):
+            n = 40 if trial == 50 else int(rng.integers(2, 7))
             A = rng.standard_normal((n, n))
             k = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             base = eigenvalues(A)
@@ -269,8 +279,8 @@ class TestJacobiClassify:
 
     def test_square_lemma(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
+        for trial in range(51):
+            n = 40 if trial == 50 else int(rng.integers(2, 7))
             A = rng.standard_normal((n, n))
             base = eigenvalues(A)
             quarter = eigenvalues(0.25 * (A @ A))
@@ -310,6 +320,9 @@ class TestFindFixedPoints:
         search = find_fixed_points(vf, seeds=[[0.5], [-1.5]])
         assert not search.points
         assert len(search.failures) == 2
+        # plain floats, so a logged seed reads (0.5,) and not np.float64(0.5)
+        assert [f.seed for f in search.failures] == [(0.5,), (-1.5,)]
+        assert all(type(v) is float for f in search.failures for v in f.seed)
 
     def test_duplicate_seeds_merge(self):
         search = find_fixed_points(
@@ -365,6 +378,13 @@ class TestAnalyzeFixedPoint:
         assert report.lyapunov_class == "center"
         assert report.jacobi_verdict == "Jacobi-stable"
         assert report.jacobi_margin == pytest.approx(-1.0, abs=1e-9)
+
+    def test_defective_jordan_block(self):
+        # S J S^-1 with J = [[-1, 1], [0, -1]] and S = [[2, 1], [1, 1]]
+        A = np.array([[-3.0, 4.0], [-1.0, 1.0]])
+        report = analyze_fixed_point(_linear_field(A), [0.0, 0.0])
+        assert_complex_multisets_close(report.eigenvalues, [-1.0, -1.0], 1e-7)
+        assert report.jacobi_verdict == "Jacobi-unstable"
 
     def test_concurrent_analyses_match_serial(self):
         from concurrent.futures import ThreadPoolExecutor
