@@ -10,7 +10,6 @@ network assembly live in models; the command-line front end in cli.
 from .deviation import DeviationRun, focusing_diagnostic, integrate
 from .exprdsl import (
     DomainError,
-    DualScalar,
     Expression,
     ExpressionError,
     ParseError,

@@ -10,6 +10,8 @@ Systems come either from a built-in name (see `models`) or from a
 definition file (INI-style key/value sections, documented in the README).
 Reports print with 6 significant digits; --format json emits every number
 through repr so parsing the output recovers each value bit-identically.
+The analyze JSON is strict: a Hurwitz determinant out of float range is
+null.
 Exit codes: 0 success, 1 input error, 2 no fixed point found or none could
 be analysed, 3 integration divergence. Diagnostics go to stderr; set
 KCC_LOG=DEBUG (or any logging level) for more.
@@ -194,7 +196,12 @@ def load_definition(target: str) -> SystemDefinition:
 
 
 def _human(x: float) -> str:
-    return f"{x:.6g}"
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return f"{x + 0.0:.6g}"
+
+
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if np.isfinite(x) else None
 
 
 def _complex_payload(z: complex) -> dict:
@@ -216,7 +223,7 @@ def _report_payload(report: stability.FixedPointReport) -> dict:
         "jacobian": [[float(v) for v in row] for row in report.jacobian],
         "charpoly": [float(v) for v in report.charpoly.coefficients],
         "eigenvalues": [_complex_payload(z) for z in report.eigenvalues],
-        "hurwitz": [float(v) for v in report.hurwitz],
+        "hurwitz": [_finite_or_none(v) for v in report.hurwitz],
         "descartes_bound": report.descartes_bound,
         "lyapunov_class": report.lyapunov_class,
         "jacobi_spectrum": [_complex_payload(z) for z in report.jacobi_spectrum],
@@ -285,7 +292,7 @@ def _cmd_analyze(args) -> int:
             "failures": [{"seed": list(f.seed), "reason": f.reason}
                          for f in search.failures],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"system {definition.name}: {len(reports)} fixed point(s), "
               f"{len(search.failures)} failed seed(s)")

@@ -1,16 +1,18 @@
 """Scalar expression DSL: parsing, serialization, exact differentiation.
 
 Expressions over an ordered list of named variables are parsed into an
-immutable AST (grammar in the README). Evaluation runs either on plain
-floats or on second-order dual numbers, so gradients and Hessians are exact
-forward-mode derivatives rather than finite-difference estimates, and every
-Hessian is symmetric by construction.
+immutable AST (grammar in the README). On first evaluation each expression
+compiles into straight-line Python code: a float kernel for the value, and a
+forward-mode kernel for value, gradient and Hessian. Gradients and Hessians
+are therefore exact derivatives rather than finite-difference estimates,
+and every Hessian is symmetric by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,7 +21,6 @@ __all__ = [
     "BinOp",
     "Call",
     "DomainError",
-    "DualScalar",
     "Expression",
     "ExpressionError",
     "FUNCTION_NAMES",
@@ -68,7 +69,7 @@ class UnknownIdentifierError(ParseError):
 
 class DomainError(ExpressionError):
     """Singular numeric operation (division by zero, ln of a non-positive
-    value, ...). The evaluator fills in the offending sub-expression."""
+    value, ...), located at the offending sub-expression."""
 
     def __init__(self, reason: str, offset: int | None = None, fragment: str | None = None):
         self.reason = reason
@@ -138,7 +139,8 @@ class Expression:
     """Parsed expression over an ordered variable list.
 
     Immutable after construction; evaluation is reentrant, so a single
-    Expression may be evaluated from many threads at once.
+    Expression may be evaluated from many threads at once. The compiled
+    kernels are built on first evaluation and cached on the instance.
     """
 
     root: Node
@@ -180,313 +182,20 @@ class Expression:
     def with_derivatives(self, point) -> tuple[float, np.ndarray, np.ndarray]:
         return value_gradient_hessian(self, point)
 
+    @cached_property
+    def _kernels(self):
+        # imported on first use, so that importing kccdyn does not pay for
+        # loading the code generator
+        from ._codegen import _compile
+        return _compile(self)
 
-# ---------------------------------------------------------------------------
-# Second-order dual numbers
-
-
-class DualScalar:
-    """Truncated second-order Taylor value: a scalar together with its first
-    and second directional derivatives against m seed directions.
-
-    The second-derivative block stays exactly symmetric under every
-    operation because all update terms are built from symmetric outer
-    products. Arithmetic on constants leaves both derivative blocks zero.
-    """
-
-    __slots__ = ("value", "first", "second")
-
-    def __init__(self, value: float, first: np.ndarray, second: np.ndarray):
-        self.value = float(value)
-        self.first = first
-        self.second = second
-
-    @classmethod
-    def constant(cls, value: float, ndirections: int) -> "DualScalar":
-        return cls(value, np.zeros(ndirections), np.zeros((ndirections, ndirections)))
-
-    @classmethod
-    def seed(cls, value: float, index: int, ndirections: int) -> "DualScalar":
-        first = np.zeros(ndirections)
-        first[index] = 1.0
-        return cls(value, first, np.zeros((ndirections, ndirections)))
-
-    def _coerce(self, other):
-        if isinstance(other, DualScalar):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return DualScalar.constant(float(other), self.first.shape[0])
-        return None
-
-    def _chain(self, f0: float, f1: float, f2: float) -> "DualScalar":
-        # f(u): value f0, slope f1, curvature f2, all at u = self.value
-        return DualScalar(
-            f0,
-            f1 * self.first,
-            f1 * self.second + f2 * np.outer(self.first, self.first),
-        )
-
-    def __repr__(self) -> str:
-        return f"DualScalar({self.value!r}, first={self.first!r})"
-
-    def __neg__(self) -> "DualScalar":
-        return DualScalar(-self.value, -self.first, -self.second)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualScalar(self.value + other.value, self.first + other.first,
-                          self.second + other.second)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualScalar(self.value - other.value, self.first - other.first,
-                          self.second - other.second)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        cross = np.outer(self.first, other.first)
-        return DualScalar(
-            self.value * other.value,
-            self.value * other.first + other.value * self.first,
-            self.value * other.second + other.value * self.second + cross + cross.T,
-        )
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "DualScalar":
-        if self.value == 0.0:
-            raise DomainError("division by zero")
-        inv = 1.0 / self.value
-        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
-
-    def _integer_power(self, n: int) -> "DualScalar":
-        if n == 0:
-            return DualScalar.constant(1.0, self.first.shape[0])
-        if n < 0:
-            return self._integer_power(-n).reciprocal()
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __pow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        # A constant integer exponent keeps negative bases legal and exact.
-        if not other.first.any() and not other.second.any():
-            e = other.value
-            if float(e).is_integer() and abs(e) < 2 ** 31:
-                return self._integer_power(int(e))
-        if self.value < 0.0:
-            raise DomainError("negative base with non-integer exponent")
-        if self.value == 0.0:
-            raise DomainError("zero base with non-integer exponent (derivative singular)")
-        return (other * self.ln()).exp()
-
-    def __rpow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other ** self
-
-    def sin(self) -> "DualScalar":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
-
-    def cos(self) -> "DualScalar":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
-
-    def exp(self) -> "DualScalar":
-        try:
-            e = math.exp(self.value)
-        except OverflowError:
-            raise DomainError("overflow in exp") from None
-        return self._chain(e, e, e)
-
-    def ln(self) -> "DualScalar":
-        if self.value <= 0.0:
-            raise DomainError("ln of a non-positive value")
-        inv = 1.0 / self.value
-        return self._chain(math.log(self.value), inv, -inv * inv)
-
-    def sqrt(self) -> "DualScalar":
-        if self.value < 0.0:
-            raise DomainError("square root of a negative value")
-        if self.value == 0.0:
-            raise DomainError("square root derivative singular at zero")
-        s = math.sqrt(self.value)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.value))
-
-    def __abs__(self) -> "DualScalar":
-        # sign(0) taken as 0; abs is treated as flat across the kink
-        sign = 0.0 if self.value == 0.0 else math.copysign(1.0, self.value)
-        return self._chain(abs(self.value), sign, 0.0)
+    def __getstate__(self):
+        # compiled functions do not pickle; they are rebuilt on demand
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
 
 # ---------------------------------------------------------------------------
-# Evaluation over floats or duals
-
-
-def _float_pow(a: float, b: float) -> float:
-    if float(b).is_integer():
-        if a == 0.0 and b < 0:
-            raise DomainError("division by zero")
-        try:
-            return a ** b
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if a < 0.0:
-        raise DomainError("negative base with non-integer exponent")
-    if a == 0.0:
-        if b > 0:
-            return 0.0
-        raise DomainError("zero base with negative exponent")
-    try:
-        return a ** b
-    except OverflowError:
-        raise DomainError("overflow in power") from None
-
-
-def _float_ln(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError("ln of a non-positive value")
-    return math.log(x)
-
-
-def _float_sqrt(x: float) -> float:
-    if x < 0.0:
-        raise DomainError("square root of a negative value")
-    return math.sqrt(x)
-
-
-def _float_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise DomainError("overflow in exp") from None
-
-
-_FLOAT_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": _float_exp,
-    "ln": _float_ln,
-    "sqrt": _float_sqrt,
-    "abs": abs,
-}
-
-
-class _FloatOps:
-    @staticmethod
-    def const(v: float) -> float:
-        return float(v)
-
-    @staticmethod
-    def neg(a: float) -> float:
-        return -a
-
-    @staticmethod
-    def binary(op: str, a: float, b: float) -> float:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        return _float_pow(a, b)
-
-    @staticmethod
-    def call(name: str, a: float) -> float:
-        return _FLOAT_FUNCS[name](a)
-
-
-class _DualOps:
-    def __init__(self, ndirections: int):
-        self.ndirections = ndirections
-
-    def const(self, v: float) -> DualScalar:
-        return DualScalar.constant(v, self.ndirections)
-
-    @staticmethod
-    def neg(a: DualScalar) -> DualScalar:
-        return -a
-
-    @staticmethod
-    def binary(op: str, a: DualScalar, b: DualScalar) -> DualScalar:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return a ** b
-
-    @staticmethod
-    def call(name: str, a: DualScalar) -> DualScalar:
-        if name == "abs":
-            return abs(a)
-        return getattr(a, name)()
-
-
-def _evaluate(node: Node, env, ops, variables):
-    try:
-        if isinstance(node, Num):
-            return ops.const(node.value)
-        if isinstance(node, Var):
-            return env[node.index]
-        if isinstance(node, Neg):
-            return ops.neg(_evaluate(node.operand, env, ops, variables))
-        if isinstance(node, BinOp):
-            left = _evaluate(node.left, env, ops, variables)
-            right = _evaluate(node.right, env, ops, variables)
-            return ops.binary(node.op, left, right)
-        if isinstance(node, Call):
-            return ops.call(node.func, _evaluate(node.arg, env, ops, variables))
-    except DomainError as err:
-        if err.fragment is None:
-            raise DomainError(err.reason, offset=node.offset,
-                              fragment=_render(node, variables, 0)) from None
-        raise
-    raise TypeError(f"not an AST node: {node!r}")
+# Evaluation through the compiled kernels
 
 
 def _check_point(expr: Expression, point) -> np.ndarray:
@@ -501,16 +210,23 @@ def evaluate(expr: Expression, point) -> float:
     """Value of the expression at the point; raises DomainError at singular
     operations, locating the offending sub-expression."""
     values = _check_point(expr, point)
-    return float(_evaluate(expr.root, list(values), _FloatOps, expr.variables))
+    return expr._kernels.value(values.tolist())
 
 
 def value_gradient_hessian(expr: Expression, point) -> tuple[float, np.ndarray, np.ndarray]:
-    """Single forward sweep returning value, exact gradient, exact Hessian."""
+    """Value, exact gradient and exact Hessian from one call of the compiled
+    forward-mode kernel. The Hessian is mirrored from its upper triangle, so
+    it is exactly symmetric."""
     values = _check_point(expr, point)
-    m = len(values)
-    env = [DualScalar.seed(v, i, m) for i, v in enumerate(values)]
-    out = _evaluate(expr.root, env, _DualOps(m), expr.variables)
-    return out.value, out.first.copy(), out.second.copy()
+    kernels = expr._kernels
+    out = kernels.derivatives(values.tolist())
+    entries = np.array(out)
+    n = len(values)
+    grad = np.zeros(n)
+    grad[kernels.deps] = entries[1:1 + len(kernels.deps)]
+    hess = np.zeros(n * n)
+    hess[kernels.mirror] = entries[kernels.source]
+    return out[0], grad, hess.reshape(n, n)
 
 
 def gradient(expr: Expression, point) -> np.ndarray:

@@ -19,8 +19,10 @@ For every lifted system N is y-independent, so the Berwald coefficients and
 the invariants P3, P4, D all vanish; P collapses to the closed form of
 deviation_tensor_lifted and equals 1/4 J^2 at y = 0.
 
-Derivatives are exact (dual numbers) for lifted and expression-backed
-systems. Opaque callables fall back to central differences with step
+Derivatives are exact (compiled forward-mode kernels) for lifted and
+expression-backed systems; a lifted system reads J and the Hessian-vector
+product H y for the deviation integrator straight from those kernels.
+Opaque callables fall back to central differences with step
 cbrt(eps) * max(1, |coordinate|) for first derivatives and the analogous
 eps^(1/4) step for second differences. The higher invariants apply one
 finite-difference layer in y on top of the exact-where-possible P; their
@@ -35,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exprdsl import Expression, parse
-from .odesys import VectorField, field_derivatives
+from .odesys import VectorField, _jacobian_hessian_product, field_derivatives
 
 __all__ = [
     "KccInvariants",
@@ -149,7 +151,10 @@ class Sode:
     def motion_terms(self, x, y, t: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G, N, dG/dx) for the trajectory and deviation integrator."""
         xv, yv = self._check_phase(x, y)
-        pieces = self._pieces(xv, yv, float(t))
+        return self._motion(xv, yv, float(t))
+
+    def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
+        pieces = self._pieces(x, y, t)
         return pieces.g, pieces.N, pieces.g_x
 
     def _p_y(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
@@ -202,6 +207,10 @@ class _LiftedSode(Sode):
         _, jac, _ = field_derivatives(self.field, xv)
         return -0.5 * (jac @ yv)
 
+    def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
+        jac, curvature = _jacobian_hessian_product(self.field, x, y)
+        return -0.5 * (jac @ y), -0.5 * jac, -0.5 * curvature
+
     def _pieces(self, x: np.ndarray, y: np.ndarray, t: float) -> _Pieces:
         n = self.dimension
         _, jac, hess = field_derivatives(self.field, x)
@@ -224,7 +233,8 @@ class _LiftedSode(Sode):
 
 class _ExpressionSode(Sode):
     """G given as expressions over (state, velocity[, time]) variables; all
-    derivatives up to second order are exact via one dual sweep."""
+    derivatives up to second order are exact, from one call of each
+    component's compiled derivative kernel."""
 
     provenance = "user-supplied"
 
@@ -353,10 +363,8 @@ class _CallableSode(Sode):
             out[:, j] = (self.g(x + e, y, t) - self.g(x - e, y, t)) / (2.0 * h)
         return out
 
-    def motion_terms(self, x, y, t: float = 0.0):
-        xv, yv = self._check_phase(x, y)
-        tv = float(t)
-        return self.g(xv, yv, tv), self._d_y(xv, yv, tv), self._d_x(xv, yv, tv)
+    def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
+        return self.g(x, y, t), self._d_y(x, y, t), self._d_x(x, y, t)
 
     def _pieces(self, x: np.ndarray, y: np.ndarray, t: float) -> _Pieces:
         n = self.dimension

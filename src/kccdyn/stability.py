@@ -171,9 +171,12 @@ def _bareiss_determinant(M: np.ndarray) -> float:
 
 
 def hurwitz_determinants(p: CharPoly) -> np.ndarray:
-    """Leading principal minors D_1 .. D_n of the Hurwitz matrix."""
+    """Leading principal minors D_1 .. D_n of the Hurwitz matrix. A minor
+    out of float range comes back non-finite (inf or NaN) without a
+    warning; large networks reach that with coefficients near 1e58."""
     H = hurwitz_matrix(p)
-    return np.array([_bareiss_determinant(H[:k, :k]) for k in range(1, p.degree + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([_bareiss_determinant(H[:k, :k]) for k in range(1, p.degree + 1)])
 
 
 def is_hurwitz_stable(p: CharPoly) -> bool:

@@ -1,5 +1,9 @@
 import csv
+import itertools
 import json
+import math
+import re
+import warnings
 
 import pytest
 
@@ -165,6 +169,43 @@ class TestAnalyze:
         point = payload["fixed_points"][0]
         assert point["lyapunov_class"] == "stable-node"
         assert point["jacobi_verdict"] == "Jacobi-unstable"
+
+
+    def test_text_prints_no_negative_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "lcdm")
+        assert code == EXIT_OK
+        assert "  jacobian          [-1, 0]; [0, 3]\n" in out
+        assert re.search(r"-0(?![.\d])", out) is None
+        # JSON keeps repr, so the sign of the zero survives there
+        _, out, _ = run_cli(capsys, "analyze", "lcdm", "--format", "json")
+        origin = next(p for p in json.loads(out)["fixed_points"]
+                      if p["location"] == [0.0, 0.0])
+        assert math.copysign(1.0, origin["jacobian"][0][1]) == -1.0
+
+    def test_json_strict_when_hurwitz_overflows(self, tmp_path, capsys):
+        # The Hurwitz minors of a complete graph on 20 nodes leave float
+        # range; they print as null, not as NaN, and nothing warns.
+        n = 20
+        graph = tmp_path / "complete.txt"
+        graph.write_text(f"{n}\n" + "".join(
+            f"{i} {j}\n" for i, j in itertools.combinations(range(n), 2)))
+        path = tmp_path / "net.ini"
+        path.write_text(
+            "[system]\nname = complete\nmodel = network\n"
+            f"graph = {graph}\nevolution = u - u^3\ncoupling = sin(u)\nsigma = 0.8\n"
+            "[search]\nseeds = " + ",".join(["0"] * n) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        hurwitz = payload["fixed_points"][0]["hurwitz"]
+        assert None in hurwitz
+        assert all(v is None or math.isfinite(v) for v in hurwitz)
 
 
 class TestInvariants:

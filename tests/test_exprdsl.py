@@ -1,26 +1,33 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kccdyn.exprdsl import (
+    FUNCTION_NAMES,
     BinOp,
+    Call,
     DomainError,
-    DualScalar,
     Expression,
+    Neg,
     Num,
     ParseError,
     UnknownIdentifierError,
     Var,
+    evaluate,
     gradient,
     hessian,
     parse,
     remap_variables,
     shift_variables,
     value_gradient_hessian,
+    _walk,
 )
 
-from helpers import fd_gradient, fd_hessian
+from helpers import fd_gradient, fd_hessian, oracle_derivatives, oracle_value
 
 # Smooth everywhere on the sampling box [-1.5, 1.5]^3.
 SMOOTH_CORPUS = [
@@ -168,6 +175,14 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             parse("x1^-1", ["x1"]).evaluate([0.0])
 
+    def test_constant_failure_raises_at_every_point(self):
+        expr = parse("x + ln(1 - 2)", ["x"])
+        for kernel in (evaluate, value_gradient_hessian):
+            with pytest.raises(DomainError) as info:
+                kernel(expr, [0.5])
+            assert info.value.reason == "ln of a non-positive value"
+            assert info.value.offset == 4
+
     def test_point_length_checked(self):
         with pytest.raises(ValueError):
             parse("x1", ["x1", "x2"]).evaluate([1.0])
@@ -239,26 +254,168 @@ class TestDerivatives:
             gradient(parse("sqrt(x1)", ["x1"]), [0.0])
 
 
-class TestDualScalar:
+class TestCompiledDerivatives:
     def test_constant_blocks_stay_zero(self):
-        a = DualScalar.constant(2.0, 3)
-        b = DualScalar.constant(-0.5, 3)
-        out = (a * b + a / b - b) ** 2
-        assert not out.first.any()
-        assert not out.second.any()
+        # a = 2, b = -0.5 over three unused variables: (a*b + a/b - b)^2
+        expr = parse("(2*-0.5 + 2/-0.5 - -0.5)^2", ["x1", "x2", "x3"])
+        value, grad, hess = value_gradient_hessian(expr, [0.3, -1.0, 2.0])
+        assert value == (2.0 * -0.5 + 2.0 / -0.5 + 0.5) ** 2
+        assert not grad.any()
+        assert not hess.any()
 
     def test_second_block_symmetric_through_ops(self):
-        x = DualScalar.seed(0.7, 0, 2)
-        y = DualScalar.seed(-1.2, 1, 2)
-        out = ((x * y + x) / (y * y + 2.0)).sin() * x.exp()
-        assert np.array_equal(out.second, out.second.T)
+        expr = parse("sin((x*y + x)/(y*y + 2))*exp(x)", ["x", "y"])
+        _, _, hess = value_gradient_hessian(expr, [0.7, -1.2])
+        assert hess[0, 1] != 0.0
+        assert np.array_equal(hess, hess.T)
 
     def test_seed_derivative(self):
-        x = DualScalar.seed(3.0, 0, 1)
-        out = x * x
-        assert out.value == 9.0
-        assert out.first[0] == 6.0
-        assert out.second[0, 0] == 2.0
+        value, grad, hess = value_gradient_hessian(parse("x*x", ["x"]), [3.0])
+        assert value == 9.0
+        assert grad[0] == 6.0
+        assert hess[0, 0] == 2.0
+
+
+class TestPowerSemantics:
+    """A constant exponent (a sub-tree without variables) takes the integer
+    route, so negative bases stay legal; any other exponent takes the
+    general route exp(b ln a)."""
+
+    @pytest.mark.parametrize("source", ["x^-2", "x^(2^2)", "(-x)^3", "x^(1+1)", "x^(x^0)"])
+    def test_constant_exponent_negative_base(self, source):
+        expr = parse(source, ["x"])
+        for point in ([-1.5], [-0.3], [2.0]):
+            value, grad, hess = value_gradient_hessian(expr, point)
+            expected = oracle_derivatives(expr, point)
+            assert value == expected[0]
+            assert np.array_equal(grad, expected[1])
+            assert np.array_equal(hess, expected[2])
+            assert expr.evaluate(point) == oracle_value(expr, point)
+
+    def test_exponent_cancelling_at_run_time_takes_general_route(self):
+        # The dense dual-number sweep saw zero derivative blocks in y-y and
+        # returned 1; the exponent mentions y, so the general route applies.
+        expr = parse("x^(y-y)", ["x", "y"])
+        assert oracle_derivatives(expr, [-2.0, 0.5])[0] == 1.0
+        with pytest.raises(DomainError) as info:
+            value_gradient_hessian(expr, [-2.0, 0.5])
+        assert info.value.reason == "negative base with non-integer exponent"
+        assert info.value.offset == 1
+        assert info.value.fragment == "x^(y-y)"
+        # the float path still sees an integer exponent
+        assert expr.evaluate([-2.0, 0.5]) == 1.0
+
+    def test_zero_base_negative_constant_exponent(self):
+        with pytest.raises(DomainError) as info:
+            value_gradient_hessian(parse("x^-2", ["x"]), [0.0])
+        assert info.value.reason == "division by zero"
+        assert info.value.fragment == "x^-2"
+
+
+# Random trees over two variables, through every operator and function.
+_LEAVES = st.one_of(
+    st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, -2.5])),
+    st.builds(Var, st.integers(0, 1)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTION_NAMES)), sub),
+    ),
+    max_leaves=10,
+)
+_COORDINATES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]),
+                         st.floats(-2.5, 2.5, allow_nan=False))
+_POINTS = st.lists(_COORDINATES, min_size=2, max_size=2)
+_NAMES = ("x", "y")
+
+
+def _outcome(fn, *args):
+    """The result, or the identity of the exception it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", fn(*args)
+    except DomainError as err:
+        return "domain", (err.reason, err.offset, err.fragment)
+    except (ArithmeticError, ValueError) as err:
+        return "error", type(err)
+
+
+def _cancelling_exponent(root, point) -> bool:
+    """Some exponent mentions a variable, yet the dense sweep sees all-zero
+    derivative blocks there (the one pinned departure from the oracle)."""
+    for node in _walk(root):
+        if isinstance(node, BinOp) and node.op == "^" and any(
+                isinstance(n, Var) for n in _walk(node.right)):
+            kind, out = _outcome(oracle_derivatives, Expression(node.right, _NAMES), point)
+            if kind == "ok" and not out[1].any() and not out[2].any():
+                return True
+    return False
+
+
+class TestCompiledAgainstOracle:
+    """The compiled kernels against the dense dual-number interpreter they
+    replaced (tests/helpers.py). Both do the same float operations in the
+    same order, so results agree exactly; only the sign of a zero may
+    differ, where the dense sweep carried a structurally zero entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, _POINTS)
+    def test_derivatives_match_oracle(self, root, point):
+        expr = Expression(root, _NAMES)
+        assume(not _cancelling_exponent(root, point))
+        kind, expected = _outcome(oracle_derivatives, expr, point)
+        assume(kind != "ok" or all(np.isfinite(np.asarray(v)).all() for v in expected))
+        got_kind, got = _outcome(value_gradient_hessian, expr, point)
+        assert got_kind == kind, (str(expr), point, got, expected)
+        if kind != "ok":
+            assert got == expected
+            return
+        value, grad, hess = got
+        assert value == expected[0]
+        assert np.array_equal(grad, expected[1])
+        assert np.array_equal(hess, expected[2])
+        assert np.array_equal(hess, hess.T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, _POINTS)
+    def test_value_matches_oracle(self, root, point):
+        expr = Expression(root, _NAMES)
+        kind, expected = _outcome(oracle_value, expr, point)
+        got_kind, got = _outcome(evaluate, expr, point)
+        assert got_kind == kind, (str(expr), point, got, expected)
+        if kind == "ok":
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+        else:
+            assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES, _POINTS)
+    def test_reparse_evaluates_identically(self, root, point):
+        expr = Expression(root, _NAMES)
+        again = parse(str(expr), _NAMES)
+        for fn in (evaluate, value_gradient_hessian):
+            kind, first = _outcome(fn, expr, point)
+            again_kind, second = _outcome(fn, again, point)
+            assert kind == again_kind
+            if kind == "domain":
+                assert first[0] == second[0]  # offsets exist only after parsing
+            elif kind == "ok" and fn is evaluate:
+                assert first == second or (math.isnan(first) and math.isnan(second))
+            elif kind == "ok":
+                for a, b in zip(first, second):
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    def test_pickles_after_compiling(self):
+        expr = parse("sin(x)*y", ["x", "y"])
+        before = expr.with_derivatives([0.3, 2.0])
+        again = pickle.loads(pickle.dumps(expr))
+        after = again.with_derivatives([0.3, 2.0])
+        assert again == expr
+        assert before[0] == after[0]
+        assert np.array_equal(before[2], after[2])
 
 
 class TestRoundTrip:

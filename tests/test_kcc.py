@@ -12,8 +12,14 @@ from kccdyn.kcc import (
     lift,
     nonlinear_connection,
 )
-from kccdyn.models import harmonic_system, lcdm_system
-from kccdyn.odesys import VectorField, jacobian
+from kccdyn.models import (
+    AdjacencyGraph,
+    NetworkSpec,
+    harmonic_system,
+    lcdm_system,
+    network_system,
+)
+from kccdyn.odesys import FieldDomainError, VectorField, jacobian
 
 
 # Symbolic Jacobian of the cosmology benchmark, typed by hand as the oracle.
@@ -218,6 +224,42 @@ class TestDeviationTensor:
             a = deviation_tensor(expr_sode, x, y)
             b = deviation_tensor(call_sode, x, y)
             assert np.max(np.abs(a - b)) <= 1e-5
+
+
+class TestMotionTerms:
+    def test_lifted_matches_assembled_pieces(self):
+        # The lifted system reads J and H y straight from the compiled
+        # kernels; the generic route assembles them from the Hessian stack.
+        ring = AdjacencyGraph.from_edges(5, [(k, (k + 1) % 5) for k in range(5)])
+        network = network_system(NetworkSpec.uniform(ring, "u - u^3", "sin(u)", 0.8))
+        rng = np.random.default_rng(13)
+        for vf in (lcdm_system(), harmonic_system(), network):
+            sode = lift(vf)
+            n = vf.dimension
+            for x, y in zip(rng.uniform(-1.5, 1.5, size=(5, n)),
+                            rng.uniform(-1.5, 1.5, size=(5, n))):
+                g, N, g_x = sode.motion_terms(x, y)
+                pieces = sode._pieces(x, y, 0.0)
+                assert np.array_equal(g, pieces.g)
+                assert np.array_equal(N, pieces.N)
+                assert np.allclose(g_x, pieces.g_x, rtol=1e-14, atol=1e-15)
+
+    def test_lifted_domain_error_names_component(self):
+        sode = lift(VectorField.from_expressions(["x2", "1/x1"], ["x1", "x2"]))
+        with pytest.raises(FieldDomainError) as info:
+            sode.motion_terms([0.0, 1.0], [1.0, 0.0])
+        assert info.value.component == 1
+        assert info.value.error.fragment == "1/x1"
+
+    def test_callable_matches_expression_backend(self):
+        expr_sode = Sode.from_expressions(
+            ["x2*y1^2 - x1*y2", "y1*y2 + x1^2"], ["x1", "x2"], ["y1", "y2"])
+        call_sode = Sode.from_callable(
+            lambda x, y, t: np.array([x[1] * y[0] ** 2 - x[0] * y[1],
+                                      y[0] * y[1] + x[0] ** 2]), 2)
+        x, y = np.array([0.4, -0.7]), np.array([1.1, 0.3])
+        for a, b in zip(expr_sode.motion_terms(x, y), call_sode.motion_terms(x, y)):
+            assert np.max(np.abs(a - b)) <= 1e-8
 
 
 class TestHigherInvariants:
