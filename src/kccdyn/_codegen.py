@@ -175,27 +175,20 @@ class _Emitter:
         return self.float_pow(node, a, b)
 
     def float_pow(self, node: Node, a: _Atom, b: _Atom) -> _Atom:
-        """_float_pow, specialised when the exponent is a literal."""
-        if isinstance(b, str):
-            name = self.fresh()
-            fragment = _render(node, self.variables, 0)
-            self.lines += [
-                "try:",
-                f"    {name} = _float_pow({self.ref(a)}, {b})",
-                "except DomainError as error:",
-                f"    raise DomainError(error.reason, {node.offset!r}, {fragment!r}) from None"]
-            return name
-        overflow = "overflow in power"
-        if b.is_integer():
-            if b < 0:
-                self.check(node, a, "==", "division by zero")
-            return self.guarded(node, operator.pow, "{0} ** {1}", a, b, reason=overflow)
-        self.check(node, a, "<", "negative base with non-integer exponent")
-        if b > 0:
-            return self.guarded(node, lambda u, v: 0.0 if u == 0.0 else u ** v,
-                                "0.0 if {0} == 0.0 else {0} ** {1}", a, b, reason=overflow)
-        self.check(node, a, "==", "zero base with negative exponent")
-        return self.guarded(node, operator.pow, "{0} ** {1}", a, b, reason=overflow)
+        """_float_pow, its DomainError located at `node`."""
+        if isinstance(a, float) and isinstance(b, float):
+            try:
+                return _float_pow(a, b)
+            except DomainError as error:
+                raise _Unreachable(self.error(node, error.reason)) from None
+        name = self.fresh()
+        fragment = _render(node, self.variables, 0)
+        self.lines += [
+            "try:",
+            f"    {name} = _float_pow({self.ref(a)}, {self.ref(b)})",
+            "except DomainError as error:",
+            f"    raise DomainError(error.reason, {node.offset!r}, {fragment!r}) from None"]
+        return name
 
 
 class _Jet(NamedTuple):

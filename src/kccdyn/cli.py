@@ -201,11 +201,13 @@ def _human(x: float) -> str:
 
 
 def _finite_or_none(x: float) -> float | None:
+    # Strict JSON has no NaN or Infinity: a value out of float range, such
+    # as a charpoly coefficient or Hurwitz minor, prints as null.
     return float(x) if np.isfinite(x) else None
 
 
 def _complex_payload(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+    return {"re": _finite_or_none(z.real), "im": _finite_or_none(z.imag)}
 
 
 def _complex_human(z: complex) -> str:
@@ -218,17 +220,17 @@ def _complex_human(z: complex) -> str:
 
 def _report_payload(report: stability.FixedPointReport) -> dict:
     return {
-        "location": [float(v) for v in report.location],
-        "residual": report.residual,
-        "jacobian": [[float(v) for v in row] for row in report.jacobian],
-        "charpoly": [float(v) for v in report.charpoly.coefficients],
+        "location": [_finite_or_none(v) for v in report.location],
+        "residual": _finite_or_none(report.residual),
+        "jacobian": [[_finite_or_none(v) for v in row] for row in report.jacobian],
+        "charpoly": [_finite_or_none(v) for v in report.charpoly.coefficients],
         "eigenvalues": [_complex_payload(z) for z in report.eigenvalues],
         "hurwitz": [_finite_or_none(v) for v in report.hurwitz],
         "descartes_bound": report.descartes_bound,
         "lyapunov_class": report.lyapunov_class,
         "jacobi_spectrum": [_complex_payload(z) for z in report.jacobi_spectrum],
         "jacobi_verdict": report.jacobi_verdict,
-        "jacobi_margin": report.jacobi_margin,
+        "jacobi_margin": _finite_or_none(report.jacobi_margin),
         "jacobi_saddle_focus": report.jacobi_saddle_focus,
     }
 

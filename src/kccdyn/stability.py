@@ -94,7 +94,9 @@ class CharPoly:
 
 
 def characteristic_polynomial(A) -> CharPoly:
-    """Faddeev-LeVerrier recurrence: trace-based, divides by integers only."""
+    """Faddeev-LeVerrier recurrence: trace-based, divides by integers only.
+    A coefficient out of float range comes back non-finite without a
+    warning; the spectrum comes from eigenvalues(), not from these."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
@@ -102,11 +104,12 @@ def characteristic_polynomial(A) -> CharPoly:
     coeffs = np.empty(n + 1)
     coeffs[0] = 1.0
     M = np.eye(n)
-    for k in range(1, n + 1):
-        AM = A @ M
-        coeffs[k] = -np.trace(AM) / k
-        if k < n:
-            M = AM + coeffs[k] * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            AM = A @ M
+            coeffs[k] = -np.trace(AM) / k
+            if k < n:
+                M = AM + coeffs[k] * np.eye(n)
     return CharPoly(coefficients=coeffs)
 
 

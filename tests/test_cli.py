@@ -207,6 +207,28 @@ class TestAnalyze:
         assert None in hurwitz
         assert all(v is None or math.isfinite(v) for v in hurwitz)
 
+    def test_json_strict_when_charpoly_overflows(self, tmp_path, capsys):
+        # Powers of two keep both deviation-spectrum routes exact, so the
+        # analysis succeeds while det A = -2^1098 leaves float range.
+        path = tmp_path / "large.ini"
+        path.write_text(
+            "[system]\nname = large diagonal\nvariables = x1, x2, x3\n"
+            "f1 = -2^365*x1\nf2 = -2^366*x2\nf3 = -2^367*x3\n"
+            "[search]\nseeds = 1, 1, 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        point = json.loads(out, parse_constant=reject)["fixed_points"][0]
+        assert point["charpoly"][:3] == [1.0, 7.0 * 2.0 ** 365, 14.0 * 2.0 ** 730]
+        assert point["charpoly"][3] is None
+        assert point["hurwitz"][1:] == [None, None]
+        assert point["lyapunov_class"] == "stable-node"
+
 
 class TestInvariants:
     def test_lcdm_attractor(self, capsys):
