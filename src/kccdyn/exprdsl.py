@@ -140,7 +140,8 @@ class Expression:
 
     Immutable after construction; evaluation is reentrant, so a single
     Expression may be evaluated from many threads at once. The compiled
-    kernels are built on first evaluation and cached on the instance.
+    kernels are built on first evaluation, of the expression or of a vector
+    field that holds it, and cached on the instance.
     """
 
     root: Node
@@ -186,8 +187,8 @@ class Expression:
     def _kernels(self):
         # imported on first use, so that importing kccdyn does not pay for
         # loading the code generator
-        from ._codegen import _compile
-        return _compile(self)
+        from ._codegen import compile_expressions
+        return compile_expressions([self])[0]
 
     def __getstate__(self):
         # compiled functions do not pickle; they are rebuilt on demand
@@ -224,9 +225,9 @@ def value_gradient_hessian(expr: Expression, point) -> tuple[float, np.ndarray, 
     n = len(values)
     grad = np.zeros(n)
     grad[kernels.deps] = entries[1:1 + len(kernels.deps)]
-    hess = np.zeros(n * n)
-    hess[kernels.mirror] = entries[kernels.source]
-    return out[0], grad, hess.reshape(n, n)
+    hess = np.zeros((n, n))
+    hess[kernels.rows, kernels.cols] = entries[kernels.source]
+    return out[0], grad, hess
 
 
 def gradient(expr: Expression, point) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exprdsl import Expression, parse
-from .odesys import VectorField, _jacobian_hessian_product, field_derivatives
+from .odesys import VectorField, _jacobian_hessian_product, field_derivatives, jacobian
 
 __all__ = [
     "KccInvariants",
@@ -204,8 +204,7 @@ class _LiftedSode(Sode):
 
     def g(self, x, y, t: float = 0.0) -> np.ndarray:
         xv, yv = self._check_phase(x, y)
-        _, jac, _ = field_derivatives(self.field, xv)
-        return -0.5 * (jac @ yv)
+        return -0.5 * (jacobian(self.field, xv).entries @ yv)
 
     def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
         jac, curvature = _jacobian_hessian_product(self.field, x, y)

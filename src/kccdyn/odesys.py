@@ -3,6 +3,8 @@
 A VectorField bundles n expressions over n shared variables. Jacobians and
 per-component Hessians come from the compiled forward-mode kernels in
 exprdsl, so they are exact and the Hessians are symmetric by construction.
+A field compiles its components together, each distinct shape once (see
+_codegen): the components of a network differ only by variable renaming.
 """
 
 from __future__ import annotations
@@ -74,8 +76,18 @@ class VectorField:
         return cls(tuple(parse(src, names) for src in sources), name=name)
 
     @cached_property
+    def _kernels(self) -> tuple:
+        # imported on first use, like Expression._kernels
+        from ._codegen import compile_expressions
+        return compile_expressions(self.components)
+
+    @cached_property
     def _layout(self) -> "_Layout":
         return _field_layout(self)
+
+    def __getstate__(self):
+        # compiled functions do not pickle; they are rebuilt on demand
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
 
 @dataclass(eq=False)
@@ -94,21 +106,23 @@ def _check_state(vf: VectorField, x) -> np.ndarray:
 
 
 def eval_field(vf: VectorField, x) -> np.ndarray:
-    """(f1(x), ..., fn(x)); domain errors carry the component index."""
-    state = _check_state(vf, x)
-    out = np.empty(vf.dimension)
-    for k, comp in enumerate(vf.components):
+    """(f1(x), ..., fn(x)) from the value kernels; domain errors carry the
+    component index."""
+    point = _check_state(vf, x).tolist()
+    out = []
+    for k, kernels in enumerate(vf._kernels):
         try:
-            out[k] = comp.evaluate(state)
+            out.append(kernels.value(point))
         except DomainError as err:
             raise FieldDomainError(k, err) from err
-    return out
+    return np.array(out)
 
 
 def field_derivatives(vf: VectorField, x) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One derivative kernel call per component: values, Jacobian, list of
     Hessians."""
     state = _check_state(vf, x)
+    vf._kernels  # compile the components together, before each is called
     n = vf.dimension
     values = np.empty(n)
     jac = np.empty((n, n))
@@ -125,8 +139,10 @@ def field_derivatives(vf: VectorField, x) -> tuple[np.ndarray, np.ndarray, list[
 def jacobian(vf: VectorField, x) -> JacobianMatrix:
     """Matrix of partial derivatives df_i/dx_j at the state."""
     state = _check_state(vf, x)
-    _, jac, _ = field_derivatives(vf, state)
-    return JacobianMatrix(entries=jac, evaluated_at=state.copy())
+    n = vf.dimension
+    # read straight from the derivative kernels; no Hessian is formed
+    entries = _kernel_entries(vf, state)[vf._layout.jacobian].reshape(n, n)
+    return JacobianMatrix(entries=entries, evaluated_at=state.copy())
 
 
 def hessians(vf: VectorField, x) -> list[np.ndarray]:
@@ -156,12 +172,10 @@ def _field_layout(vf: VectorField) -> _Layout:
     jacobian = np.zeros(n * n, dtype=np.intp)
     target, column, source = [], [], []
     offset = 1
-    for i, comp in enumerate(vf.components):
-        kernels = comp._kernels
+    for i, kernels in enumerate(vf._kernels):
         jacobian[i * n + kernels.deps] = offset + 1 + np.arange(len(kernels.deps))
-        row, col = np.divmod(kernels.mirror, n)
-        target.append(i * n + row)
-        column.append(col)
+        target.append(i * n + kernels.rows)
+        column.append(kernels.cols)
         source.append(offset + kernels.source)
         offset += kernels.width
     target, column, source = (np.concatenate(a) for a in (target, column, source))
@@ -169,19 +183,25 @@ def _field_layout(vf: VectorField) -> _Layout:
     return _Layout(jacobian, target[order], source[order], column[order])
 
 
+def _kernel_entries(vf: VectorField, x: np.ndarray) -> np.ndarray:
+    """Every component's derivative kernel output at x, laid out as _Layout
+    describes."""
+    point = x.tolist()
+    out = [0.0]
+    for k, kernels in enumerate(vf._kernels):
+        try:
+            out += kernels.derivatives(point)
+        except DomainError as err:
+            raise FieldDomainError(k, err) from err
+    return np.array(out)
+
+
 def _jacobian_hessian_product(vf: VectorField, x: np.ndarray,
                               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J(x) and H y, read from each component's compiled kernel; the
     (n, n, n) Hessian stack is never formed."""
     layout = vf._layout
-    point = x.tolist()
-    out = [0.0]
-    for k, comp in enumerate(vf.components):
-        try:
-            out += comp._kernels.derivatives(point)
-        except DomainError as err:
-            raise FieldDomainError(k, err) from err
-    entries = np.array(out)
+    entries = _kernel_entries(vf, x)
     n = vf.dimension
     product = np.bincount(layout.target, entries[layout.source] * y[layout.column],
                           minlength=n * n)

@@ -152,7 +152,10 @@ def hurwitz_matrix(p: CharPoly) -> np.ndarray:
 
 
 def _bareiss_determinant(M: np.ndarray) -> float:
-    """Fraction-free elimination with partial pivoting."""
+    """Fraction-free elimination with partial pivoting. Each step updates
+    the whole trailing block at once; every entry gets the float operations
+    of the row-by-row update, so the result is the same to the bit. The
+    eliminated column is left as it is, since no later step reads it."""
     M = np.array(M, dtype=float)
     n = M.shape[0]
     if n == 0:
@@ -166,9 +169,8 @@ def _bareiss_determinant(M: np.ndarray) -> float:
         if pivot_row != k:
             M[[k, pivot_row]] = M[[pivot_row, k]]
             sign = -sign
-        for i in range(k + 1, n):
-            M[i, k + 1:] = (M[k, k] * M[i, k + 1:] - M[i, k] * M[k, k + 1:]) / prev
-            M[i, k] = 0.0
+        M[k + 1:, k + 1:] = (M[k, k] * M[k + 1:, k + 1:]
+                             - np.outer(M[k + 1:, k], M[k, k + 1:])) / prev
         prev = M[k, k]
     return sign * M[n - 1, n - 1]
 

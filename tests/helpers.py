@@ -352,3 +352,30 @@ def oracle_derivatives(expr, point):
     env = [DualScalar.seed(float(v), i, m) for i, v in enumerate(point)]
     out = _evaluate(expr.root, env, _DualOps(m), expr.variables)
     return out.value, out.first.copy(), out.second.copy()
+
+
+# ---------------------------------------------------------------------------
+# Reference Bareiss elimination: the row-by-row update that the library's
+# block update replaced
+
+
+def bareiss_rows(M) -> float:
+    """Fraction-free elimination with partial pivoting, one row at a time."""
+    M = np.array(M, dtype=float)
+    n = M.shape[0]
+    if n == 0:
+        return 1.0
+    sign = 1.0
+    prev = 1.0
+    for k in range(n - 1):
+        pivot_row = k + int(np.argmax(np.abs(M[k:, k])))
+        if M[pivot_row, k] == 0.0:
+            return 0.0
+        if pivot_row != k:
+            M[[k, pivot_row]] = M[[pivot_row, k]]
+            sign = -sign
+        for i in range(k + 1, n):
+            M[i, k + 1:] = (M[k, k] * M[i, k + 1:] - M[i, k] * M[k, k + 1:]) / prev
+            M[i, k] = 0.0
+        prev = M[k, k]
+    return sign * M[n - 1, n - 1]

@@ -27,6 +27,8 @@ from kccdyn.exprdsl import (
     _walk,
 )
 
+from kccdyn._codegen import compile_expressions
+
 from helpers import fd_gradient, fd_hessian, oracle_derivatives, oracle_value
 
 # Smooth everywhere on the sampling box [-1.5, 1.5]^3.
@@ -416,6 +418,52 @@ class TestCompiledAgainstOracle:
         assert again == expr
         assert before[0] == after[0]
         assert np.array_equal(before[2], after[2])
+
+
+# A width m and two order-preserving placements of the two tree variables.
+_EMBEDDINGS = st.integers(2, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    *[st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True).map(sorted)] * 2))
+_FILLERS = st.lists(_COORDINATES, min_size=5, max_size=5)
+
+
+class TestSharedShapeAgainstOracle:
+    """One random tree placed at two positions of a wider variable list is
+    one shape: both placements run the same compiled code, each with its own
+    variable indices and fragments, and each matches the oracle exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, _POINTS, _EMBEDDINGS, _FILLERS)
+    def test_embeddings_match_oracle(self, root, point, embedding, fillers):
+        m, *placements = embedding
+        assume(not _cancelling_exponent(root, point))
+        kind, expected = _outcome(oracle_derivatives, Expression(root, _NAMES), point)
+        assume(kind != "ok" or all(np.isfinite(np.asarray(v)).all() for v in expected))
+        exprs, points = [], []
+        for a, b in placements:
+            names = [f"w{k}" for k in range(m)]
+            names[a], names[b] = _NAMES
+            exprs.append(remap_variables(Expression(root, _NAMES), names, {0: a, 1: b}))
+            wide = fillers[:m]
+            wide[a], wide[b] = point
+            points.append(wide)
+        first, second = compile_expressions(exprs)
+        assert first.value.__code__ is second.value.__code__
+        assert first.derivatives.__code__ is second.derivatives.__code__
+        for expr, wide in zip(exprs, points):
+            kind, expected = _outcome(oracle_derivatives, expr, wide)
+            got_kind, got = _outcome(value_gradient_hessian, expr, wide)
+            assert got_kind == kind, (str(expr), wide, got, expected)
+            if kind != "ok":
+                assert got == expected
+            else:
+                assert got[0] == expected[0]
+                assert np.array_equal(got[1], expected[1])
+                assert np.array_equal(got[2], expected[2])
+            kind, expected = _outcome(oracle_value, expr, wide)
+            got_kind, got = _outcome(evaluate, expr, wide)
+            assert got_kind == kind, (str(expr), wide, got, expected)
+            assert got == expected or (kind == "ok" and math.isnan(got) and math.isnan(expected))
 
 
 class TestRoundTrip:

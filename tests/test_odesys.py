@@ -1,7 +1,19 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from kccdyn.models import harmonic_system, lcdm_system
+from kccdyn.cli import load_definition
+from kccdyn.exprdsl import BinOp, Call, Expression, Num, Var
+from kccdyn.kcc import lift
+from kccdyn.models import (
+    AdjacencyGraph,
+    NetworkSpec,
+    harmonic_system,
+    laplacian,
+    lcdm_system,
+    network_system,
+)
 from kccdyn.odesys import (
     FieldDomainError,
     VectorField,
@@ -133,3 +145,137 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             VectorField(components=())
+
+
+def _graph(kind, n):
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if kind == "ring" else [])
+    return AdjacencyGraph.from_edges(n, edges)
+
+
+def _network(kind, n, evolution="u - u^3", coupling="sin(u)", sigma=0.3):
+    return network_system(NetworkSpec.uniform(_graph(kind, n), evolution, coupling, sigma))
+
+
+def _code_objects(vf):
+    """Identities of the distinct code objects of the field's value and
+    derivative kernels (code objects compare equal by content)."""
+    kernels = vf._kernels
+    return ({id(k.value.__code__) for k in kernels},
+            {id(k.derivatives.__code__) for k in kernels})
+
+
+class TestSharedShapes:
+    """Components equal up to an order-preserving renaming share compiled
+    code; each keeps its own variables and error fragments."""
+
+    @pytest.mark.parametrize("kind", ["ring", "path"])
+    def test_forty_nodes_compile_three_shapes(self, kind):
+        vf = _network(kind, 40)
+        values, derivatives = _code_objects(vf)
+        # first node, inner nodes, last node
+        assert len(values) == 3
+        assert len(derivatives) == 3
+        alone = [Expression(comp.root, comp.variables) for comp in vf.components]
+        x = np.random.default_rng(7).uniform(-0.5, 0.5, 40)
+        assert np.array_equal(eval_field(vf, x), [e.evaluate(x) for e in alone])
+        _, jac, hess = field_derivatives(vf, x)
+        assert np.array_equal(jacobian(vf, x).entries, jac)
+        for comp, h, expr in zip(jac, hess, alone):
+            _, grad, expected = expr.with_derivatives(x)
+            assert np.array_equal(comp, grad)
+            assert np.array_equal(h, expected)
+        L = laplacian(_graph(kind, 40))
+        closed = x - x ** 3 - 0.3 * (L @ np.sin(x))
+        assert np.allclose(eval_field(vf, x), closed, rtol=0, atol=1e-14)
+        closed_jac = np.diag(1.0 - 3.0 * x ** 2) - 0.3 * L * np.cos(x)
+        assert np.allclose(jac, closed_jac, rtol=0, atol=1e-14)
+
+    def test_each_definition_load_compiles_its_own(self, tmp_path):
+        graph = tmp_path / "ring.txt"
+        graph.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        ini = tmp_path / "ring.ini"
+        ini.write_text(f"[system]\nname = ring\nmodel = network\ngraph = {graph}\n"
+                       "evolution = u - u^3\ncoupling = sin(u)\nsigma = 0.3\n")
+        first, second = (load_definition(str(ini)).field for _ in range(2))
+        (v1, d1), (v2, d2) = _code_objects(first), _code_objects(second)
+        assert len(v1) == len(v2) == 3
+        assert not v1 & v2
+        assert not d1 & d2
+
+    def test_domain_errors_name_their_own_component(self):
+        # component i is x_i - ln(x_i) - sigma sum_r L_ir x_r: one shape for
+        # the inner nodes, the ln at offset 4 of the template
+        vf = _network("path", 5, evolution="u - ln(u)", coupling="u")
+        assert len(_code_objects(vf)[0]) == 3
+        sode = lift(vf)
+        for k in range(5):
+            x = np.ones(5)
+            x[k] = -1.0
+            calls = [lambda: eval_field(vf, x), lambda: jacobian(vf, x),
+                     lambda: field_derivatives(vf, x), lambda: sode.motion_terms(x, x)]
+            for call in calls:
+                with pytest.raises(FieldDomainError) as info:
+                    call()
+                err = info.value.error
+                assert info.value.component == k
+                assert (err.reason, err.offset, err.fragment) == (
+                    "ln of a non-positive value", 4, f"ln(x{k + 1})")
+
+    def test_offsets_are_part_of_the_shape(self):
+        vf = VectorField.from_expressions(["ln(x1)", "ln(x2)", "  ln(x3)"],
+                                          ["x1", "x2", "x3"])
+        values, derivatives = _code_objects(vf)
+        assert len(values) == len(derivatives) == 2
+        for k, offset in enumerate([0, 0, 2]):
+            x = np.ones(3)
+            x[k] = 0.0
+            with pytest.raises(FieldDomainError) as info:
+                eval_field(vf, x)
+            assert info.value.component == k
+            assert (info.value.error.offset, info.value.error.fragment) == (
+                offset, f"ln(x{k + 1})")
+
+    def test_call_offsets_are_part_of_the_shape(self):
+        # argument offsets equal, call offsets not
+        names = ("x1", "x2")
+        vf = VectorField(tuple(Expression(Call("ln", Var(k, offset=3), offset=offset), names)
+                               for k, offset in enumerate([0, 7])))
+        assert len(_code_objects(vf)[0]) == 2
+        for k, offset in enumerate([0, 7]):
+            x = np.ones(2)
+            x[k] = -1.0
+            with pytest.raises(FieldDomainError) as info:
+                eval_field(vf, x)
+            assert (info.value.error.offset, info.value.error.fragment) == (
+                offset, f"ln(x{k + 1})")
+
+    def test_literal_values_are_part_of_the_shape(self):
+        names = ("x1", "x2", "x3", "x4")
+        vf = VectorField(tuple(Expression(BinOp("*", Num(c), Var(k)), names)
+                               for k, c in enumerate([2.0, 2.0, 0.0, -0.0])))
+        assert len(_code_objects(vf)[0]) == 3
+        values = eval_field(vf, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(values, [2.0, 4.0, 0.0, 0.0])
+        assert np.array_equal(np.signbit(values), [False, False, False, True])
+
+    def test_variable_order_is_part_of_the_shape(self):
+        # the same tree with its variables in swapped order is another shape;
+        # x1*x3 and x2*x3 place their variables in the same order
+        vf = VectorField.from_expressions(["x1 - x2", "x2 - x1", "x1*x3", "x2*x3"],
+                                          ["x1", "x2", "x3", "x4"])
+        values, derivatives = _code_objects(vf)
+        assert len(values) == len(derivatives) == 3
+        x = np.array([1.0, 4.0, 2.0, 8.0])
+        assert np.array_equal(eval_field(vf, x), [-3.0, 3.0, 2.0, 8.0])
+        assert np.array_equal(jacobian(vf, x).entries, [[1.0, -1.0, 0.0, 0.0],
+                                                        [-1.0, 1.0, 0.0, 0.0],
+                                                        [2.0, 0.0, 1.0, 0.0],
+                                                        [0.0, 2.0, 4.0, 0.0]])
+
+    def test_pickles_after_compiling(self):
+        vf = _network("ring", 6)
+        x = np.linspace(-0.2, 0.2, 6)
+        before = jacobian(vf, x).entries
+        again = pickle.loads(pickle.dumps(vf))
+        assert again == vf
+        assert np.array_equal(jacobian(again, x).entries, before)

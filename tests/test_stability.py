@@ -8,6 +8,7 @@ from kccdyn.stability import (
     CharPoly,
     NotAFixedPointError,
     RootConvergenceError,
+    _bareiss_determinant,
     analyze_fixed_point,
     characteristic_polynomial,
     descartes_bound,
@@ -20,7 +21,7 @@ from kccdyn.stability import (
     lyapunov_classify,
 )
 
-from helpers import assert_complex_multisets_close
+from helpers import assert_complex_multisets_close, bareiss_rows
 
 
 def _poly(*coeffs):
@@ -169,6 +170,52 @@ class TestHurwitz:
                 continue
             truth = all(r.real < 0 for r in roots)
             assert is_hurwitz_stable(CharPoly(coeffs)) == truth
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestBareissBlockUpdate:
+    """The block update against the row loop it replaced (tests/helpers.py):
+    the same float operations per entry, so the same bits."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+            assert _same_bits(_bareiss_determinant(M), bareiss_rows(M))
+
+    def test_sparse_integer_matrices(self):
+        # many zero pivots, row swaps and exact cancellations
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            M = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.5)
+            assert _same_bits(_bareiss_determinant(M), bareiss_rows(M))
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, 2, 0, 1),            # D1 = a1 = 0: zero pivot at once
+        (1, 1, 1, 1, 0, 0, 1),
+        (1, 2, 4, 8, 16, 32),       # singular minors from proportional rows
+        (1, 0, 0, 0, 0, 0, 0, 1),
+        (1, -3, 0, 2, 0, -1e-300, 5),
+    ])
+    def test_hurwitz_minors_with_zero_pivots(self, coeffs):
+        H = hurwitz_matrix(_poly(*coeffs))
+        minors = hurwitz_determinants(_poly(*coeffs))
+        for k in range(1, H.shape[0] + 1):
+            assert _same_bits(minors[k - 1], bareiss_rows(H[:k, :k]))
+
+    def test_random_hurwitz_minors(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            coeffs, _ = _random_real_polynomial(rng, max_degree=10)
+            H = hurwitz_matrix(CharPoly(coeffs))
+            minors = hurwitz_determinants(CharPoly(coeffs))
+            for k in range(1, H.shape[0] + 1):
+                assert _same_bits(minors[k - 1], bareiss_rows(H[:k, :k]))
 
 
 def _random_real_polynomial(rng, max_degree=6):
