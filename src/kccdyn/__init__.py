@@ -16,18 +16,7 @@ from .exprdsl import (
     UnknownIdentifierError,
     parse,
 )
-from .kcc import (
-    KccInvariants,
-    Sode,
-    berwald,
-    deviation_tensor,
-    deviation_tensor_lifted,
-    first_invariant,
-    higher_invariants,
-    invariants,
-    lift,
-    nonlinear_connection,
-)
+from .kcc import KccInvariants, Sode, lift
 from .models import (
     AdjacencyGraph,
     NetworkSpec,
@@ -35,18 +24,10 @@ from .models import (
     harmonic_system,
     laplacian,
     lcdm_system,
-    network_deviation_tensor,
     network_system,
     translate_to_origin,
 )
-from .odesys import (
-    FieldDomainError,
-    JacobianMatrix,
-    VectorField,
-    eval_field,
-    hessians,
-    jacobian,
-)
+from .odesys import FieldDomainError, VectorField, eval_field, jacobian
 from .stability import (
     CharPoly,
     FixedPointReport,

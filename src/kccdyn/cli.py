@@ -317,10 +317,6 @@ def _parse_phase_point(text: str, dimension: int) -> tuple[np.ndarray, np.ndarra
     return np.array(values[:dimension]), np.array(values[dimension:]), t
 
 
-def _tensor_payload(arr: np.ndarray) -> list:
-    return arr.tolist()
-
-
 _ZERO_TOL = 1e-9
 
 
@@ -328,7 +324,7 @@ def _cmd_invariants(args) -> int:
     definition = load_definition(args.system)
     x, y, t = _parse_phase_point(args.at, definition.field.dimension)
     sode = kcc.lift(definition.field)
-    inv = kcc.invariants(sode, x, y, t)
+    inv = sode.invariants(x, y, t)
     tensors = [
         ("epsilon", inv.epsilon),
         ("N", inv.N),
@@ -345,7 +341,7 @@ def _cmd_invariants(args) -> int:
             "trace_P": inv.trace_P,
         }
         for label, tensor in tensors:
-            payload[label] = _tensor_payload(tensor)
+            payload[label] = tensor.tolist()
             payload[label + "_all_zero"] = bool(np.max(np.abs(tensor)) <= _ZERO_TOL)
         print(json.dumps(payload, indent=2))
     else:
@@ -391,7 +387,7 @@ def _cmd_deviate(args) -> int:
         run.to_csv(args.out)
         print(f"wrote {run.times.size} samples to {args.out}")
 
-    P = kcc.deviation_tensor(sode, x0, y0, 0.0)
+    P = sode.deviation_tensor(x0, y0, 0.0)
     spectrum = stability.eigenvalues(P)
     top = max(z.real for z in spectrum)
     if top < -_ZERO_TOL:

@@ -3,9 +3,9 @@
 Expressions over an ordered list of named variables are parsed into an
 immutable AST (grammar in the README). On first evaluation each expression
 compiles into straight-line Python code: a float kernel for the value, and a
-forward-mode kernel for value, gradient and Hessian. Gradients and Hessians
-are therefore exact derivatives rather than finite-difference estimates,
-and every Hessian is symmetric by construction.
+forward-mode kernel for value, gradient and Hessian. Gradient and Hessian
+entries are therefore exact derivatives rather than finite-difference
+estimates, and every Hessian is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -29,14 +29,9 @@ __all__ = [
     "ParseError",
     "UnknownIdentifierError",
     "Var",
-    "evaluate",
-    "gradient",
-    "hessian",
     "parse",
     "remap_variables",
     "shift_variables",
-    "to_source",
-    "value_gradient_hessian",
 ]
 
 FUNCTION_NAMES = frozenset({"sin", "cos", "exp", "ln", "sqrt", "abs"})
@@ -164,24 +159,35 @@ class Expression:
             if isinstance(node, BinOp) and node.op not in "+-*/^":
                 raise ValueError(f"unknown operator {node.op!r}")
 
-    @property
-    def arity(self) -> int:
-        return len(self.variables)
-
     def __str__(self) -> str:
         return _render(self.root, self.variables, 0)
 
+    def _check_point(self, point) -> list[float]:
+        values = np.asarray(point, dtype=float)
+        if values.shape != (len(self.variables),):
+            raise ValueError(
+                f"point has shape {values.shape}, expected ({len(self.variables)},)")
+        return values.tolist()
+
     def evaluate(self, point) -> float:
-        return evaluate(self, point)
-
-    def gradient(self, point) -> np.ndarray:
-        return gradient(self, point)
-
-    def hessian(self, point) -> np.ndarray:
-        return hessian(self, point)
+        """Value of the expression at the point; raises DomainError at
+        singular operations, locating the offending sub-expression."""
+        return self._kernels.value(self._check_point(point))
 
     def with_derivatives(self, point) -> tuple[float, np.ndarray, np.ndarray]:
-        return value_gradient_hessian(self, point)
+        """Value, exact gradient and exact Hessian from one call of the
+        compiled forward-mode kernel. The Hessian is mirrored from its upper
+        triangle, so it is exactly symmetric."""
+        values = self._check_point(point)
+        kernels = self._kernels
+        out = kernels.derivatives(values)
+        entries = np.array(out)
+        n = len(values)
+        grad = np.zeros(n)
+        grad[kernels.deps] = entries[1:1 + len(kernels.deps)]
+        hess = np.zeros((n, n))
+        hess[kernels.rows, kernels.cols] = entries[kernels.source]
+        return out[0], grad, hess
 
     @cached_property
     def _kernels(self):
@@ -193,49 +199,6 @@ class Expression:
     def __getstate__(self):
         # compiled functions do not pickle; they are rebuilt on demand
         return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
-
-
-# ---------------------------------------------------------------------------
-# Evaluation through the compiled kernels
-
-
-def _check_point(expr: Expression, point) -> np.ndarray:
-    values = np.asarray(point, dtype=float)
-    if values.shape != (len(expr.variables),):
-        raise ValueError(
-            f"point has shape {values.shape}, expected ({len(expr.variables)},)")
-    return values
-
-
-def evaluate(expr: Expression, point) -> float:
-    """Value of the expression at the point; raises DomainError at singular
-    operations, locating the offending sub-expression."""
-    values = _check_point(expr, point)
-    return expr._kernels.value(values.tolist())
-
-
-def value_gradient_hessian(expr: Expression, point) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, exact gradient and exact Hessian from one call of the compiled
-    forward-mode kernel. The Hessian is mirrored from its upper triangle, so
-    it is exactly symmetric."""
-    values = _check_point(expr, point)
-    kernels = expr._kernels
-    out = kernels.derivatives(values.tolist())
-    entries = np.array(out)
-    n = len(values)
-    grad = np.zeros(n)
-    grad[kernels.deps] = entries[1:1 + len(kernels.deps)]
-    hess = np.zeros((n, n))
-    hess[kernels.rows, kernels.cols] = entries[kernels.source]
-    return out[0], grad, hess
-
-
-def gradient(expr: Expression, point) -> np.ndarray:
-    return value_gradient_hessian(expr, point)[1]
-
-
-def hessian(expr: Expression, point) -> np.ndarray:
-    return value_gradient_hessian(expr, point)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +397,6 @@ def _render(node: Node, variables: Sequence[str], min_prec: int) -> str:
     if _prec(node) < min_prec:
         return f"({text})"
     return text
-
-
-def to_source(expr: Expression) -> str:
-    return str(expr)
 
 
 # ---------------------------------------------------------------------------

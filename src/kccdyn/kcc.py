@@ -16,8 +16,9 @@ evaluates:
   D       Douglas tensor (fifth invariant), dG^i_jk/dy^l
 
 For every lifted system N is y-independent, so the Berwald coefficients and
-the invariants P3, P4, D all vanish; P collapses to the closed form of
-deviation_tensor_lifted and equals 1/4 J^2 at y = 0.
+the invariants P3, P4, D all vanish; P collapses to the closed form
+P^i_j = 1/2 d^2 f_i/dx_j dx_k y^k + 1/4 (J^2)^i_j and equals 1/4 J^2 at
+y = 0.
 
 Derivatives are exact (compiled forward-mode kernels) for lifted and
 expression-backed systems; a lifted system reads J and the Hessian-vector
@@ -39,18 +40,7 @@ import numpy as np
 from .exprdsl import Expression, parse
 from .odesys import VectorField, _jacobian_hessian_product, field_derivatives, jacobian
 
-__all__ = [
-    "KccInvariants",
-    "Sode",
-    "berwald",
-    "deviation_tensor",
-    "deviation_tensor_lifted",
-    "first_invariant",
-    "higher_invariants",
-    "invariants",
-    "lift",
-    "nonlinear_connection",
-]
+__all__ = ["KccInvariants", "Sode", "lift"]
 
 _EPS = float(np.finfo(float).eps)
 _FIRST_STEP = _EPS ** (1.0 / 3.0)
@@ -175,6 +165,7 @@ class Sode:
         return (p_y - p_y.transpose(0, 2, 1)) / 3.0
 
     def higher_invariants(self, x, y, t: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P3, P4, Douglas). Zero to 1e-8 absolute means vanishing."""
         xv, yv = self._check_phase(x, y)
         tv = float(t)
         n = self.dimension
@@ -190,11 +181,30 @@ class Sode:
                                - self._pieces(xv, yv - e, tv).berwald) / (2.0 * h)
         return p3, p4, douglas
 
+    def invariants(self, x, y, t: float = 0.0) -> KccInvariants:
+        """All invariants and connections at one phase point."""
+        xv, yv = self._check_phase(x, y)
+        tv = float(t)
+        pieces = self._pieces(xv, yv, tv)
+        P = _assemble_deviation(pieces, yv)
+        p3, p4, douglas = self.higher_invariants(xv, yv, tv)
+        return KccInvariants(
+            epsilon=2.0 * pieces.g - pieces.N @ yv,
+            N=pieces.N,
+            berwald=pieces.berwald,
+            P=P,
+            trace_P=float(np.trace(P)),
+            P3=p3,
+            P4=p4,
+            douglas=douglas,
+            at=(xv.copy(), yv.copy(), tv),
+        )
+
 
 class _LiftedSode(Sode):
     """Lift of a first-order field: G = -1/2 J(x) y, independent of t and
     linear in y. All derivative pieces come from the field's exact Jacobian
-    and Hessians."""
+    and Hessian stack."""
 
     provenance = "lifted-from-vector-field"
 
@@ -204,7 +214,7 @@ class _LiftedSode(Sode):
 
     def g(self, x, y, t: float = 0.0) -> np.ndarray:
         xv, yv = self._check_phase(x, y)
-        return -0.5 * (jacobian(self.field, xv).entries @ yv)
+        return -0.5 * (jacobian(self.field, xv) @ yv)
 
     def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
         jac, curvature = _jacobian_hessian_product(self.field, x, y)
@@ -213,21 +223,19 @@ class _LiftedSode(Sode):
     def _pieces(self, x: np.ndarray, y: np.ndarray, t: float) -> _Pieces:
         n = self.dimension
         _, jac, hess = field_derivatives(self.field, x)
-        stacked = np.stack(hess)  # [i, j, k] = d^2 f_i / dx_j dx_k
         return _Pieces(
             g=-0.5 * (jac @ y),
             N=-0.5 * jac,
             berwald=np.zeros((n, n, n)),
-            g_x=-0.5 * np.einsum("ijk,k->ij", stacked, y),
-            n_x=-0.5 * stacked,
+            g_x=-0.5 * np.einsum("ijk,k->ij", hess, y),
+            n_x=-0.5 * hess,
             n_t=np.zeros((n, n)),
         )
 
     def _p_y(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         # P is linear in y with slope 1/2 d^2 f_i / dx_j dx_k, so the
         # derivative is exact; P3 then vanishes through Hessian symmetry.
-        _, _, hess = field_derivatives(self.field, x)
-        return 0.5 * np.stack(hess)
+        return 0.5 * field_derivatives(self.field, x)[2]
 
 
 class _ExpressionSode(Sode):
@@ -410,69 +418,6 @@ class _CallableSode(Sode):
         return _Pieces(g=g0, N=N, berwald=berw, g_x=g_x, n_x=n_x, n_t=n_t)
 
 
-# ---------------------------------------------------------------------------
-# Module-level operations
-
-
 def lift(vf: VectorField) -> Sode:
     """Second-order form of dx/dt = f(x): G(x, y) = -1/2 J_f(x) y."""
     return _LiftedSode(vf)
-
-
-def nonlinear_connection(sode: Sode, x, y, t: float = 0.0) -> np.ndarray:
-    return sode.nonlinear_connection(x, y, t)
-
-
-def berwald(sode: Sode, x, y, t: float = 0.0) -> np.ndarray:
-    return sode.berwald(x, y, t)
-
-
-def first_invariant(sode: Sode, x, y, t: float = 0.0) -> np.ndarray:
-    return sode.first_invariant(x, y, t)
-
-
-def deviation_tensor(sode: Sode, x, y, t: float = 0.0) -> np.ndarray:
-    return sode.deviation_tensor(x, y, t)
-
-
-def deviation_tensor_lifted(vf: VectorField, x, y) -> np.ndarray:
-    """Closed form for lifted systems, assembled directly from the field's
-    Hessians and Jacobian:
-
-        P^i_j = 1/2 sum_k d^2 f_i/dx_j dx_k y^k + 1/4 (J^2)^i_j
-
-    Cross-checks deviation_tensor(lift(vf), x, y) without sharing its
-    five-term assembly.
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    _, jac, hess = field_derivatives(vf, xv)
-    if yv.shape != (vf.dimension,):
-        raise ValueError(f"velocity has shape {yv.shape}, expected ({vf.dimension},)")
-    hessian_rows = np.stack([h @ yv for h in hess])
-    return 0.5 * hessian_rows + 0.25 * (jac @ jac)
-
-
-def higher_invariants(sode: Sode, x, y, t: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P3, P4, Douglas). Zero to 1e-8 absolute means vanishing."""
-    return sode.higher_invariants(x, y, t)
-
-
-def invariants(sode: Sode, x, y, t: float = 0.0) -> KccInvariants:
-    """All invariants and connections at one phase point."""
-    xv, yv = sode._check_phase(x, y)
-    tv = float(t)
-    pieces = sode._pieces(xv, yv, tv)
-    P = _assemble_deviation(pieces, yv)
-    p3, p4, douglas = sode.higher_invariants(xv, yv, tv)
-    return KccInvariants(
-        epsilon=2.0 * pieces.g - pieces.N @ yv,
-        N=pieces.N,
-        berwald=pieces.berwald,
-        P=P,
-        trace_P=float(np.trace(P)),
-        P3=p3,
-        P4=p4,
-        douglas=douglas,
-        at=(xv.copy(), yv.copy(), tv),
-    )

@@ -15,8 +15,7 @@ Coupled networks evolve one scalar state per node:
 
 with L the graph Laplacian (degree on the diagonal, -1 across edges). The
 assembled field is an ordinary VectorField, so the whole stability pipeline
-applies unchanged; network_deviation_tensor re-derives the deviation tensor
-straight from F and H derivatives as an independent cross-check.
+applies unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "harmonic_system",
     "laplacian",
     "lcdm_system",
-    "network_deviation_tensor",
     "network_system",
     "parse_graph",
     "read_graph",
@@ -191,30 +189,6 @@ def network_system(spec: NetworkSpec, name: str = "network") -> VectorField:
             root = BinOp("-", root, term)
         components.append(Expression(root=root, variables=names))
     return VectorField(components=tuple(components), name=name)
-
-
-def network_deviation_tensor(spec: NetworkSpec, x, y) -> np.ndarray:
-    """Deviation tensor assembled directly from F and H derivatives:
-
-        M    = J_F - sigma L J_H
-        P^i_j = 1/2 sum_n (d2F_i/dx_j dx_n - sigma sum_r L_ir d2H_r/dx_j dx_n) y^n
-                + 1/4 (M^2)^i_j
-
-    Independent of the generic lift pipeline; used to cross-check it.
-    """
-    N = spec.graph.node_count
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != (N,) or yv.shape != (N,):
-        raise ValueError(f"state/velocity must have shape ({N},)")
-    L = laplacian(spec.graph)
-    jac_f = np.stack([expr.gradient(xv) for expr in spec.evolution])
-    jac_h = np.stack([expr.gradient(xv) for expr in spec.coupling])
-    hess_f = np.stack([expr.hessian(xv) for expr in spec.evolution])
-    hess_h = np.stack([expr.hessian(xv) for expr in spec.coupling])
-    M = jac_f - spec.sigma * (L @ jac_h)
-    curvature = hess_f - spec.sigma * np.einsum("ir,rjn->ijn", L, hess_h)
-    return 0.5 * np.einsum("ijn,n->ij", curvature, yv) + 0.25 * (M @ M)
 
 
 # ---------------------------------------------------------------------------

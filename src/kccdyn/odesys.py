@@ -1,8 +1,10 @@
 """Autonomous first-order systems dx/dt = f(x) with exact derivatives.
 
-A VectorField bundles n expressions over n shared variables. Jacobians and
-per-component Hessians come from the compiled forward-mode kernels in
-exprdsl, so they are exact and the Hessians are symmetric by construction.
+A VectorField bundles n expressions over n shared variables. Jacobian and
+Hessian entries come from the compiled forward-mode kernels in exprdsl, so
+they are exact and every Hessian is symmetric by construction. Every array
+is read from the flat kernel outputs through one per-field index layout
+(_Layout).
 A field compiles its components together, each distinct shape once (see
 _codegen): the components of a network differ only by variable renaming.
 """
@@ -19,11 +21,9 @@ from .exprdsl import DomainError, Expression, parse
 
 __all__ = [
     "FieldDomainError",
-    "JacobianMatrix",
     "VectorField",
     "eval_field",
     "field_derivatives",
-    "hessians",
     "jacobian",
 ]
 
@@ -90,14 +90,6 @@ class VectorField:
         return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
 
-@dataclass(eq=False)
-class JacobianMatrix:
-    """Jacobian entries together with the state they were evaluated at."""
-
-    entries: np.ndarray
-    evaluated_at: np.ndarray
-
-
 def _check_state(vf: VectorField, x) -> np.ndarray:
     state = np.asarray(x, dtype=float)
     if state.shape != (vf.dimension,):
@@ -118,49 +110,41 @@ def eval_field(vf: VectorField, x) -> np.ndarray:
     return np.array(out)
 
 
-def field_derivatives(vf: VectorField, x) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """One derivative kernel call per component: values, Jacobian, list of
-    Hessians."""
+def field_derivatives(vf: VectorField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, Jacobian and the (n, n, n) Hessian stack, [i, j, k] =
+    d2 f_i / dx_j dx_k, from one derivative kernel call per component."""
     state = _check_state(vf, x)
-    vf._kernels  # compile the components together, before each is called
+    layout = vf._layout
+    entries = _kernel_entries(vf, state)
     n = vf.dimension
-    values = np.empty(n)
-    jac = np.empty((n, n))
-    hess = []
-    for k, comp in enumerate(vf.components):
-        try:
-            values[k], jac[k], h = comp.with_derivatives(state)
-        except DomainError as err:
-            raise FieldDomainError(k, err) from err
-        hess.append(h)
-    return values, jac, hess
+    hess = np.zeros(n * n * n)
+    hess[layout.target * n + layout.column] = entries[layout.source]
+    return (entries[layout.value], entries[layout.jacobian].reshape(n, n),
+            hess.reshape(n, n, n))
 
 
-def jacobian(vf: VectorField, x) -> JacobianMatrix:
+def jacobian(vf: VectorField, x) -> np.ndarray:
     """Matrix of partial derivatives df_i/dx_j at the state."""
     state = _check_state(vf, x)
     n = vf.dimension
     # read straight from the derivative kernels; no Hessian is formed
-    entries = _kernel_entries(vf, state)[vf._layout.jacobian].reshape(n, n)
-    return JacobianMatrix(entries=entries, evaluated_at=state.copy())
-
-
-def hessians(vf: VectorField, x) -> list[np.ndarray]:
-    """Per-component Hessians, each exactly symmetric."""
-    return field_derivatives(vf, x)[2]
+    return _kernel_entries(vf, state)[vf._layout.jacobian].reshape(n, n)
 
 
 class _Layout(NamedTuple):
     """Where the flat kernel outputs of all components land. The outputs are
     concatenated after a leading zero slot.
 
-    The flat Jacobian is entries[jacobian]; structurally zero entries read
-    the zero slot. The Hessian-vector product (H y)[i, j] =
-    sum_k d2 f_i/dx_j dx_k y_k sums entries[source[e]] * y[column[e]] into
-    flat index target[e]: an off-diagonal Hessian entry serves both of its
-    mirror positions, and each target sums its terms in ascending k.
+    Component i's value is entries[value[i]]. The flat Jacobian is
+    entries[jacobian]; structurally zero entries read the zero slot. Each
+    Hessian entry d2 f_i/dx_j dx_k is entries[source[e]] for one e with
+    target[e] = i * n + j and column[e] = k; an off-diagonal entry has one e
+    per mirror position. The Hessian-vector product (H y)[i, j] therefore
+    sums entries[source[e]] * y[column[e]] into flat index target[e], each
+    target summing its terms in ascending k.
     """
 
+    value: np.ndarray
     jacobian: np.ndarray
     target: np.ndarray
     source: np.ndarray
@@ -169,10 +153,12 @@ class _Layout(NamedTuple):
 
 def _field_layout(vf: VectorField) -> _Layout:
     n = vf.dimension
+    value = np.empty(n, dtype=np.intp)
     jacobian = np.zeros(n * n, dtype=np.intp)
     target, column, source = [], [], []
     offset = 1
     for i, kernels in enumerate(vf._kernels):
+        value[i] = offset
         jacobian[i * n + kernels.deps] = offset + 1 + np.arange(len(kernels.deps))
         target.append(i * n + kernels.rows)
         column.append(kernels.cols)
@@ -180,7 +166,7 @@ def _field_layout(vf: VectorField) -> _Layout:
         offset += kernels.width
     target, column, source = (np.concatenate(a) for a in (target, column, source))
     order = np.lexsort((column, target))
-    return _Layout(jacobian, target[order], source[order], column[order])
+    return _Layout(value, jacobian, target[order], source[order], column[order])
 
 
 def _kernel_entries(vf: VectorField, x: np.ndarray) -> np.ndarray:

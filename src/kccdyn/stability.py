@@ -113,6 +113,11 @@ def characteristic_polynomial(A) -> CharPoly:
     return CharPoly(coefficients=coeffs)
 
 
+def _sorted_spectrum(values) -> list[complex]:
+    """The one order of every reported spectrum: by (Re, Im)."""
+    return sorted(values, key=lambda z: (z.real, z.imag))
+
+
 def eigenvalues(A) -> list[complex]:
     """LAPACK eigenvalues (numpy's Hessenberg QR), sorted by (Re, Im).
 
@@ -130,8 +135,7 @@ def eigenvalues(A) -> list[complex]:
     if not np.all(np.isfinite(eigs)):
         raise RootConvergenceError("non-finite eigenvalue", eigs, [])
     # Adding 0.0 turns -0.0 into 0.0, so reports never print "-0".
-    return sorted((complex(z.real + 0.0, z.imag + 0.0) for z in eigs),
-                  key=lambda z: (z.real, z.imag))
+    return _sorted_spectrum(complex(z.real + 0.0, z.imag + 0.0) for z in eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +257,6 @@ def lyapunov_classify(eigs: Sequence[complex], tol: float = HYPERBOLIC_TOL) -> s
     return "saddle-focus"
 
 
-def _sorted_complex(values) -> list[complex]:
-    return sorted((complex(z) for z in values), key=lambda z: (z.real, z.imag))
-
-
 def jacobi_classify(eigs: Sequence[complex], dimension: int | None = None,
                     tol: float = HYPERBOLIC_TOL) -> tuple[str, float, list[complex]]:
     """(verdict, margin, spectrum of 1/4 A^2) from Jacobian eigenvalues.
@@ -278,7 +278,7 @@ def jacobi_classify(eigs: Sequence[complex], dimension: int | None = None,
         verdict = "Jacobi-stable"
     else:
         verdict = "indeterminate"
-    spectrum = _sorted_complex(s / 4.0 for s in squares)
+    spectrum = _sorted_spectrum(s / 4.0 for s in squares)
     # Structural route: even dimension, all eigenvalues strictly complex,
     # alpha^2 < beta^2 for every pair. Must agree with the margin route.
     structural = (n % 2 == 0
@@ -326,7 +326,7 @@ def _newton(vf: VectorField, seed: np.ndarray, tol: float,
     for _ in range(max_iterations):
         if res <= tol:
             return x
-        jac = jacobian(vf, x).entries
+        jac = jacobian(vf, x)
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as err:
@@ -441,7 +441,7 @@ def analyze_fixed_point(vf: VectorField, location, residual_tol: float = 1e-8,
     fx, residual = _residual(vf, x)
     if residual > residual_tol:
         raise NotAFixedPointError(x, residual, residual_tol)
-    A = jacobian(vf, x).entries
+    A = jacobian(vf, x)
     poly = characteristic_polynomial(A)
     eigs = eigenvalues(A)
     verdict, margin, spectrum_from_eigs = jacobi_classify(eigs, vf.dimension, tol)

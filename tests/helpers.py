@@ -1,6 +1,7 @@
-"""Shared test oracles: finite differences, complex multiset matching, and
-the dense second-order dual-number interpreter that the compiled expression
-kernels replaced, kept as a reference to compare them against."""
+"""Shared test oracles: finite differences, complex multiset matching, the
+dense second-order dual-number interpreter that the compiled expression
+kernels replaced, and closed forms of the deviation tensor, kept as
+references to compare the library against."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from kccdyn._codegen import _float_pow
 from kccdyn.exprdsl import BinOp, Call, DomainError, Neg, Num, Var, _render
+from kccdyn.models import laplacian
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -379,3 +381,47 @@ def bareiss_rows(M) -> float:
             M[i, k] = 0.0
         prev = M[k, k]
     return sign * M[n - 1, n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the deviation tensor, from per-component derivatives; they
+# share neither the five-term assembly of Sode nor the field's kernel layout
+
+
+def deviation_tensor_lifted(vf, x, y) -> np.ndarray:
+    """Closed form for lifted systems:
+
+        P^i_j = 1/2 sum_k d^2 f_i/dx_j dx_k y^k + 1/4 (J^2)^i_j
+    """
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if yv.shape != (vf.dimension,):
+        raise ValueError(f"velocity has shape {yv.shape}, expected ({vf.dimension},)")
+    jets = [comp.with_derivatives(xv) for comp in vf.components]
+    jac = np.stack([grad for _, grad, _ in jets])
+    hessian_rows = np.stack([hess @ yv for _, _, hess in jets])
+    return 0.5 * hessian_rows + 0.25 * (jac @ jac)
+
+
+def network_deviation_tensor(spec, x, y) -> np.ndarray:
+    """Deviation tensor of a network straight from F and H derivatives:
+
+        M    = J_F - sigma L J_H
+        P^i_j = 1/2 sum_n (d2F_i/dx_j dx_n - sigma sum_r L_ir d2H_r/dx_j dx_n) y^n
+                + 1/4 (M^2)^i_j
+    """
+    N = spec.graph.node_count
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.shape != (N,) or yv.shape != (N,):
+        raise ValueError(f"state/velocity must have shape ({N},)")
+    L = laplacian(spec.graph)
+    jets_f = [expr.with_derivatives(xv) for expr in spec.evolution]
+    jets_h = [expr.with_derivatives(xv) for expr in spec.coupling]
+    jac_f = np.stack([grad for _, grad, _ in jets_f])
+    jac_h = np.stack([grad for _, grad, _ in jets_h])
+    hess_f = np.stack([hess for _, _, hess in jets_f])
+    hess_h = np.stack([hess for _, _, hess in jets_h])
+    M = jac_f - spec.sigma * (L @ jac_h)
+    curvature = hess_f - spec.sigma * np.einsum("ir,rjn->ijn", L, hess_h)
+    return 0.5 * np.einsum("ijn,n->ij", curvature, yv) + 0.25 * (M @ M)

@@ -11,22 +11,13 @@ import numpy as np
 from kccdyn.cli import main as cli_main
 from kccdyn.deviation import integrate
 from kccdyn.exprdsl import BinOp, Expression, Num, Var
-from kccdyn.kcc import (
-    Sode,
-    berwald,
-    deviation_tensor,
-    deviation_tensor_lifted,
-    higher_invariants,
-    lift,
-    nonlinear_connection,
-)
+from kccdyn.kcc import Sode, lift
 from kccdyn.models import (
     AdjacencyGraph,
     NetworkSpec,
     builtin_models,
     harmonic_system,
     lcdm_system,
-    network_deviation_tensor,
     network_system,
     translate_to_origin,
 )
@@ -39,7 +30,7 @@ from kccdyn.stability import (
     is_hurwitz_stable,
 )
 
-from helpers import assert_complex_multisets_close
+from helpers import assert_complex_multisets_close, deviation_tensor_lifted, network_deviation_tensor
 
 
 def _ok(number, text):
@@ -203,11 +194,11 @@ def test_criterion_6_lift_consistency_and_vanishing():
         for _ in range(100):
             x = rng.uniform(-2, 2, vf.dimension)
             y = rng.uniform(-2, 2, vf.dimension)
-            generic = deviation_tensor(sode, x, y)
+            generic = sode.deviation_tensor(x, y)
             closed = deviation_tensor_lifted(vf, x, y)
             assert np.max(np.abs(generic - closed)) <= 1e-9
-            assert np.max(np.abs(berwald(sode, x, y))) <= 1e-8
-            p3, p4, douglas = higher_invariants(sode, x, y)
+            assert np.max(np.abs(sode.berwald(x, y))) <= 1e-8
+            p3, p4, douglas = sode.higher_invariants(x, y)
             assert np.max(np.abs(p3)) <= 1e-8
             assert np.max(np.abs(p4)) <= 1e-8
             assert np.max(np.abs(douglas)) <= 1e-8
@@ -222,12 +213,12 @@ def test_criterion_6_lift_consistency_and_vanishing():
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
         y = rng.uniform(-2, 2, 2)
-        assert np.max(np.abs(berwald(twin, x, y))) == 0.0
-        assert np.max(np.abs(nonlinear_connection(twin, x, y)
-                             - nonlinear_connection(sode, x, y))) <= 1e-12
-        assert np.max(np.abs(deviation_tensor(twin, x, y)
-                             - deviation_tensor(sode, x, y))) <= 1e-9
-        p3, p4, douglas = higher_invariants(twin, x, y)
+        assert np.max(np.abs(twin.berwald(x, y))) == 0.0
+        assert np.max(np.abs(twin.nonlinear_connection(x, y)
+                             - sode.nonlinear_connection(x, y))) <= 1e-12
+        assert np.max(np.abs(twin.deviation_tensor(x, y)
+                             - sode.deviation_tensor(x, y))) <= 1e-9
+        p3, p4, douglas = twin.higher_invariants(x, y)
         assert np.max(np.abs(p3)) <= 1e-8
         assert np.max(np.abs(p4)) <= 1e-8
         assert np.max(np.abs(douglas)) <= 1e-8
@@ -301,7 +292,7 @@ def test_criterion_9_network_path():
         for _ in range(3):
             x = rng.uniform(-1.5, 1.5, n)
             y = rng.uniform(-1.5, 1.5, n)
-            generic = deviation_tensor(sode, x, y)
+            generic = sode.deviation_tensor(x, y)
             closed = network_deviation_tensor(spec, x, y)
             assert np.max(np.abs(generic - closed)) <= 1e-9
 

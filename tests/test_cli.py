@@ -261,7 +261,8 @@ class TestDeviate:
         assert code == EXIT_OK
         assert "Jacobi-stable" in out
         assert "dispersing" in out
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as handle:
+            rows = list(csv.DictReader(handle))
         row = next(r for r in rows if abs(float(r["t"]) - 1.0) < 1e-12)
         # ||xi(1)|| = ||(sin 1, cos 1 - 1)|| ~ 0.9589
         assert float(row["norm"]) == pytest.approx(0.9588510772, abs=1e-6)

@@ -17,13 +17,9 @@ from kccdyn.exprdsl import (
     ParseError,
     UnknownIdentifierError,
     Var,
-    evaluate,
-    gradient,
-    hessian,
     parse,
     remap_variables,
     shift_variables,
-    value_gradient_hessian,
     _walk,
 )
 
@@ -179,7 +175,7 @@ class TestEvaluation:
 
     def test_constant_failure_raises_at_every_point(self):
         expr = parse("x + ln(1 - 2)", ["x"])
-        for kernel in (evaluate, value_gradient_hessian):
+        for kernel in (Expression.evaluate, Expression.with_derivatives):
             with pytest.raises(DomainError) as info:
                 kernel(expr, [0.5])
             assert info.value.reason == "ln of a non-positive value"
@@ -200,39 +196,39 @@ class TestEvaluation:
 class TestDerivatives:
     def test_gradient_reference(self):
         # hand differentiation: d/dx1 = -1 + 2 x1 - 3 x2, d/dx2 = -3 x1
-        grad = gradient(parse("-x1*(1-x1+3*x2)", ["x1", "x2"]), [0.0, 1.0])
+        grad = parse("-x1*(1-x1+3*x2)", ["x1", "x2"]).with_derivatives([0.0, 1.0])[1]
         assert np.array_equal(grad, [-4.0, 0.0])
 
     def test_gradient_monomial(self):
-        grad = gradient(parse("x1^2*x2", ["x1", "x2"]), [1.0, 1.0])
+        grad = parse("x1^2*x2", ["x1", "x2"]).with_derivatives([1.0, 1.0])[1]
         assert np.array_equal(grad, [2.0, 1.0])
 
     def test_gradient_of_constant(self):
         rng = np.random.default_rng(2)
         expr = parse("5", ["x1", "x2", "x3"])
         for point in rng.uniform(-3, 3, size=(5, 3)):
-            assert np.array_equal(gradient(expr, point), np.zeros(3))
+            assert np.array_equal(expr.with_derivatives(point)[1], np.zeros(3))
 
     def test_hessian_monomial(self):
-        hess = hessian(parse("x1^2*x2", ["x1", "x2"]), [1.0, 1.0])
+        hess = parse("x1^2*x2", ["x1", "x2"]).with_derivatives([1.0, 1.0])[2]
         assert np.array_equal(hess, [[2.0, 2.0], [2.0, 0.0]])
 
     def test_hessian_of_linear(self):
-        hess = hessian(parse("3*x1 - 2*x2 + 7", ["x1", "x2"]), [0.3, -0.8])
+        hess = parse("3*x1 - 2*x2 + 7", ["x1", "x2"]).with_derivatives([0.3, -0.8])[2]
         assert np.array_equal(hess, np.zeros((2, 2)))
 
     def test_hessian_of_quadratic_constant(self):
         expr = parse("-x1*(1-x1+3*x2)", ["x1", "x2"])
         rng = np.random.default_rng(3)
         for point in rng.uniform(-2, 2, size=(5, 2)):
-            assert np.array_equal(hessian(expr, point), [[2.0, -3.0], [-3.0, 0.0]])
+            assert np.array_equal(expr.with_derivatives(point)[2], [[2.0, -3.0], [-3.0, 0.0]])
 
     def test_hessian_exactly_symmetric(self):
         rng = np.random.default_rng(4)
         for source, n in SMOOTH_CORPUS:
             expr = parse(source, _vars(n))
             for point in rng.uniform(-1.5, 1.5, size=(3, n)):
-                hess = hessian(expr, point)
+                hess = expr.with_derivatives(point)[2]
                 assert np.array_equal(hess, hess.T)
 
     def test_matches_finite_differences(self):
@@ -240,7 +236,7 @@ class TestDerivatives:
         for source, n in SMOOTH_CORPUS:
             expr = parse(source, _vars(n))
             for point in rng.uniform(-1.5, 1.5, size=(50, n)):
-                value, grad, hess = value_gradient_hessian(expr, point)
+                value, grad, hess = expr.with_derivatives(point)
                 # dual and float paths may round power chains differently
                 assert math.isclose(value, expr.evaluate(point),
                                     rel_tol=1e-12, abs_tol=1e-12)
@@ -253,26 +249,26 @@ class TestDerivatives:
 
     def test_gradient_singularity_raises(self):
         with pytest.raises(DomainError):
-            gradient(parse("sqrt(x1)", ["x1"]), [0.0])
+            parse("sqrt(x1)", ["x1"]).with_derivatives([0.0])
 
 
 class TestCompiledDerivatives:
     def test_constant_blocks_stay_zero(self):
         # a = 2, b = -0.5 over three unused variables: (a*b + a/b - b)^2
         expr = parse("(2*-0.5 + 2/-0.5 - -0.5)^2", ["x1", "x2", "x3"])
-        value, grad, hess = value_gradient_hessian(expr, [0.3, -1.0, 2.0])
+        value, grad, hess = expr.with_derivatives([0.3, -1.0, 2.0])
         assert value == (2.0 * -0.5 + 2.0 / -0.5 + 0.5) ** 2
         assert not grad.any()
         assert not hess.any()
 
     def test_second_block_symmetric_through_ops(self):
         expr = parse("sin((x*y + x)/(y*y + 2))*exp(x)", ["x", "y"])
-        _, _, hess = value_gradient_hessian(expr, [0.7, -1.2])
+        _, _, hess = expr.with_derivatives([0.7, -1.2])
         assert hess[0, 1] != 0.0
         assert np.array_equal(hess, hess.T)
 
     def test_seed_derivative(self):
-        value, grad, hess = value_gradient_hessian(parse("x*x", ["x"]), [3.0])
+        value, grad, hess = parse("x*x", ["x"]).with_derivatives([3.0])
         assert value == 9.0
         assert grad[0] == 6.0
         assert hess[0, 0] == 2.0
@@ -287,7 +283,7 @@ class TestPowerSemantics:
     def test_constant_exponent_negative_base(self, source):
         expr = parse(source, ["x"])
         for point in ([-1.5], [-0.3], [2.0]):
-            value, grad, hess = value_gradient_hessian(expr, point)
+            value, grad, hess = expr.with_derivatives(point)
             expected = oracle_derivatives(expr, point)
             assert value == expected[0]
             assert np.array_equal(grad, expected[1])
@@ -300,7 +296,7 @@ class TestPowerSemantics:
         expr = parse("x^(y-y)", ["x", "y"])
         assert oracle_derivatives(expr, [-2.0, 0.5])[0] == 1.0
         with pytest.raises(DomainError) as info:
-            value_gradient_hessian(expr, [-2.0, 0.5])
+            expr.with_derivatives([-2.0, 0.5])
         assert info.value.reason == "negative base with non-integer exponent"
         assert info.value.offset == 1
         assert info.value.fragment == "x^(y-y)"
@@ -309,7 +305,7 @@ class TestPowerSemantics:
 
     def test_zero_base_negative_constant_exponent(self):
         with pytest.raises(DomainError) as info:
-            value_gradient_hessian(parse("x^-2", ["x"]), [0.0])
+            parse("x^-2", ["x"]).with_derivatives([0.0])
         assert info.value.reason == "division by zero"
         assert info.value.fragment == "x^-2"
 
@@ -370,7 +366,7 @@ class TestCompiledAgainstOracle:
         assume(not _cancelling_exponent(root, point))
         kind, expected = _outcome(oracle_derivatives, expr, point)
         assume(kind != "ok" or all(np.isfinite(np.asarray(v)).all() for v in expected))
-        got_kind, got = _outcome(value_gradient_hessian, expr, point)
+        got_kind, got = _outcome(Expression.with_derivatives, expr, point)
         assert got_kind == kind, (str(expr), point, got, expected)
         if kind != "ok":
             assert got == expected
@@ -386,7 +382,7 @@ class TestCompiledAgainstOracle:
     def test_value_matches_oracle(self, root, point):
         expr = Expression(root, _NAMES)
         kind, expected = _outcome(oracle_value, expr, point)
-        got_kind, got = _outcome(evaluate, expr, point)
+        got_kind, got = _outcome(Expression.evaluate, expr, point)
         assert got_kind == kind, (str(expr), point, got, expected)
         if kind == "ok":
             assert got == expected or (math.isnan(got) and math.isnan(expected))
@@ -398,13 +394,13 @@ class TestCompiledAgainstOracle:
     def test_reparse_evaluates_identically(self, root, point):
         expr = Expression(root, _NAMES)
         again = parse(str(expr), _NAMES)
-        for fn in (evaluate, value_gradient_hessian):
+        for fn in (Expression.evaluate, Expression.with_derivatives):
             kind, first = _outcome(fn, expr, point)
             again_kind, second = _outcome(fn, again, point)
             assert kind == again_kind
             if kind == "domain":
                 assert first[0] == second[0]  # offsets exist only after parsing
-            elif kind == "ok" and fn is evaluate:
+            elif kind == "ok" and fn is Expression.evaluate:
                 assert first == second or (math.isnan(first) and math.isnan(second))
             elif kind == "ok":
                 for a, b in zip(first, second):
@@ -452,7 +448,7 @@ class TestSharedShapeAgainstOracle:
         assert first.derivatives.__code__ is second.derivatives.__code__
         for expr, wide in zip(exprs, points):
             kind, expected = _outcome(oracle_derivatives, expr, wide)
-            got_kind, got = _outcome(value_gradient_hessian, expr, wide)
+            got_kind, got = _outcome(Expression.with_derivatives, expr, wide)
             assert got_kind == kind, (str(expr), wide, got, expected)
             if kind != "ok":
                 assert got == expected
@@ -461,7 +457,7 @@ class TestSharedShapeAgainstOracle:
                 assert np.array_equal(got[1], expected[1])
                 assert np.array_equal(got[2], expected[2])
             kind, expected = _outcome(oracle_value, expr, wide)
-            got_kind, got = _outcome(evaluate, expr, wide)
+            got_kind, got = _outcome(Expression.evaluate, expr, wide)
             assert got_kind == kind, (str(expr), wide, got, expected)
             assert got == expected or (kind == "ok" and math.isnan(got) and math.isnan(expected))
 
@@ -503,9 +499,9 @@ class TestConcurrency:
         expr = parse("exp(-x1^2/2)*cos(3*x2) + x1*x2", ["x1", "x2"])
         rng = np.random.default_rng(20)
         points = rng.uniform(-2, 2, size=(64, 2))
-        serial = [value_gradient_hessian(expr, p) for p in points]
+        serial = [expr.with_derivatives(p) for p in points]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda p: value_gradient_hessian(expr, p), points))
+            threaded = list(pool.map(lambda p: expr.with_derivatives(p), points))
         for (v1, g1, h1), (v2, g2, h2) in zip(serial, threaded):
             assert v1 == v2
             assert np.array_equal(g1, g2)

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from kccdyn.kcc import (
-    Sode,
-    berwald,
-    deviation_tensor,
-    deviation_tensor_lifted,
-    first_invariant,
-    higher_invariants,
-    invariants,
-    lift,
-    nonlinear_connection,
-)
+from kccdyn.kcc import Sode, lift
 from kccdyn.models import (
     AdjacencyGraph,
     NetworkSpec,
@@ -20,6 +10,8 @@ from kccdyn.models import (
     network_system,
 )
 from kccdyn.odesys import FieldDomainError, VectorField, jacobian
+
+from helpers import deviation_tensor_lifted
 
 
 # Symbolic Jacobian of the cosmology benchmark, typed by hand as the oracle.
@@ -61,8 +53,8 @@ class TestLift:
     def test_time_independent(self):
         sode = lift(lcdm_system())
         x, y = [0.3, 0.4], [0.5, -0.2]
-        assert np.array_equal(deviation_tensor(sode, x, y, 0.3),
-                              deviation_tensor(sode, x, y, 0.7))
+        assert np.array_equal(sode.deviation_tensor(x, y, 0.3),
+                              sode.deviation_tensor(x, y, 0.7))
 
     def test_provenance(self):
         assert lift(lcdm_system()).provenance == "lifted-from-vector-field"
@@ -71,33 +63,33 @@ class TestLift:
 class TestNonlinearConnection:
     def test_reference_value(self):
         sode = lift(lcdm_system())
-        N = nonlinear_connection(sode, [0.0, 1.0], [0.0, 0.0])
+        N = sode.nonlinear_connection([0.0, 1.0], [0.0, 0.0])
         assert np.array_equal(N, [[2.0, 0.0], [-0.5, 1.5]])
 
     def test_zero_field(self):
         sode = lift(VectorField.from_expressions(["0", "0"], ["x1", "x2"]))
-        assert np.all(nonlinear_connection(sode, [1.0, 2.0], [3.0, 4.0]) == 0.0)
+        assert np.all(sode.nonlinear_connection([1.0, 2.0], [3.0, 4.0]) == 0.0)
 
     def test_equals_minus_half_jacobian_exactly(self):
         vf = lcdm_system()
         sode = lift(vf)
         rng = np.random.default_rng(3)
         for x, y in zip(rng.uniform(-2, 2, size=(5, 2)), rng.uniform(-2, 2, size=(5, 2))):
-            assert np.array_equal(nonlinear_connection(sode, x, y),
-                                  -0.5 * jacobian(vf, x).entries)
+            assert np.array_equal(sode.nonlinear_connection(x, y),
+                                  -0.5 * jacobian(vf, x))
 
     def test_quadratic_velocity_sode(self):
         sode = Sode.from_expressions(["y1^2/2"], ["x1"], ["y1"])
         for y in (0.3, -1.7, 2.0):
-            N = nonlinear_connection(sode, [0.0], [y])
+            N = sode.nonlinear_connection([0.0], [y])
             assert N[0, 0] == pytest.approx(y, abs=1e-14)
 
     def test_callable_backend_matches_expression(self):
         expr_sode = Sode.from_expressions(["y1^2/2"], ["x1"], ["y1"])
         call_sode = Sode.from_callable(lambda x, y, t: np.array([y[0] ** 2 / 2]), 1)
         for y in (0.3, -1.7):
-            a = nonlinear_connection(expr_sode, [0.0], [y])
-            b = nonlinear_connection(call_sode, [0.0], [y])
+            a = expr_sode.nonlinear_connection([0.0], [y])
+            b = call_sode.nonlinear_connection([0.0], [y])
             assert np.max(np.abs(a - b)) <= 1e-6
 
 
@@ -106,23 +98,23 @@ class TestBerwald:
         sode = lift(lcdm_system())
         rng = np.random.default_rng(4)
         for x, y in zip(rng.uniform(-2, 2, size=(5, 2)), rng.uniform(-2, 2, size=(5, 2))):
-            assert np.all(berwald(sode, x, y) == 0.0)
+            assert np.all(sode.berwald(x, y) == 0.0)
 
     def test_cubic_velocity_sode(self):
         sode = Sode.from_expressions(["y1^3/6"], ["x1"], ["y1"])
         for y in (0.5, -1.2, 2.0):
-            B = berwald(sode, [0.0], [y])
+            B = sode.berwald([0.0], [y])
             assert B[0, 0, 0] == pytest.approx(y, abs=1e-12)
 
     def test_linear_velocity_sode_vanishes(self):
         sode = Sode.from_expressions(
             ["x1*y1 + 2*y2", "sin(x2)*y1"], ["x1", "x2"], ["y1", "y2"])
-        B = berwald(sode, [0.4, -0.3], [1.0, 2.0])
+        B = sode.berwald([0.4, -0.3], [1.0, 2.0])
         assert np.max(np.abs(B)) == 0.0
 
     def test_callable_cubic(self):
         sode = Sode.from_callable(lambda x, y, t: np.array([y[0] ** 3 / 6]), 1)
-        B = berwald(sode, [0.0], [0.8])
+        B = sode.berwald([0.0], [0.8])
         assert B[0, 0, 0] == pytest.approx(0.8, abs=1e-6)
 
 
@@ -131,13 +123,13 @@ class TestFirstInvariant:
         sode = lift(lcdm_system())
         rng = np.random.default_rng(5)
         for x, y in zip(rng.uniform(-2, 2, size=(10, 2)), rng.uniform(-2, 2, size=(10, 2))):
-            eps = first_invariant(sode, x, y)
+            eps = sode.first_invariant(x, y)
             g = sode.g(x, y)
             assert np.max(np.abs(eps - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
 
     def test_zero_velocity(self):
         sode = lift(lcdm_system())
-        assert np.all(first_invariant(sode, [0.7, -0.2], [0.0, 0.0]) == 0.0)
+        assert np.all(sode.first_invariant([0.7, -0.2], [0.0, 0.0]) == 0.0)
 
     def test_degree_one_homogeneous(self):
         # G linear in y with state-dependent coefficients: N y = G exactly
@@ -145,7 +137,7 @@ class TestFirstInvariant:
             ["x1*y1 + y2", "3*y1 - x2*y2"], ["x1", "x2"], ["y1", "y2"])
         rng = np.random.default_rng(6)
         for x, y in zip(rng.uniform(-2, 2, size=(5, 2)), rng.uniform(-2, 2, size=(5, 2))):
-            eps = first_invariant(sode, x, y)
+            eps = sode.first_invariant(x, y)
             g = sode.g(x, y)
             assert np.max(np.abs(eps - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
 
@@ -154,7 +146,7 @@ class TestDeviationTensor:
     def test_lcdm_attractor_quarter_square(self):
         # hand: 1/4 [[-4,0],[1,-3]]^2 = [[4, 0], [-7/4, 9/4]]
         sode = lift(lcdm_system())
-        P = deviation_tensor(sode, [0.0, 1.0], [0.0, 0.0])
+        P = sode.deviation_tensor([0.0, 1.0], [0.0, 0.0])
         assert np.allclose(P, [[4.0, 0.0], [-1.75, 2.25]], atol=1e-14)
 
     def test_harmonic_is_minus_quarter_identity(self):
@@ -162,7 +154,7 @@ class TestDeviationTensor:
         sode = lift(harmonic_system())
         rng = np.random.default_rng(7)
         for x, y in zip(rng.uniform(-2, 2, size=(5, 2)), rng.uniform(-2, 2, size=(5, 2))):
-            P = deviation_tensor(sode, x, y)
+            P = sode.deviation_tensor(x, y)
             assert np.allclose(P, [[-0.25, 0.0], [0.0, -0.25]], atol=1e-14)
 
     def test_zero_velocity_quarter_jacobian_square(self):
@@ -170,14 +162,14 @@ class TestDeviationTensor:
         rng = np.random.default_rng(8)
         for x in rng.uniform(-2, 2, size=(10, 2)):
             J = _lcdm_jac(*x)
-            P = deviation_tensor(sode, x, [0.0, 0.0])
+            P = sode.deviation_tensor(x, [0.0, 0.0])
             assert np.max(np.abs(P - 0.25 * (J @ J))) <= 1e-12 * max(1.0, np.max(np.abs(P)))
 
     def test_closed_form_cross_check_example(self):
         # both routes at x = (0,0), y = (1,1); value derived by hand:
         # 1/2 [[-1,-3],[1,-5]] + 1/4 [[1,0],[0,9]] = [[-0.25,-1.5],[0.5,-0.25]]
         vf = lcdm_system()
-        generic = deviation_tensor(lift(vf), [0.0, 0.0], [1.0, 1.0])
+        generic = lift(vf).deviation_tensor([0.0, 0.0], [1.0, 1.0])
         closed = deviation_tensor_lifted(vf, [0.0, 0.0], [1.0, 1.0])
         expected = np.array([[-0.25, -1.5], [0.5, -0.25]])
         assert np.allclose(generic, expected, atol=1e-13)
@@ -189,7 +181,7 @@ class TestDeviationTensor:
             sode = lift(vf)
             for x, y in zip(rng.uniform(-2, 2, size=(50, 2)),
                             rng.uniform(-2, 2, size=(50, 2))):
-                a = deviation_tensor(sode, x, y)
+                a = sode.deviation_tensor(x, y)
                 b = deviation_tensor_lifted(vf, x, y)
                 assert np.max(np.abs(a - b)) <= 1e-9
 
@@ -206,7 +198,7 @@ class TestDeviationTensor:
         # G = t y: N = t, dN/dt = 1, everything else zero: P = t^2 + 1
         sode = Sode.from_expressions(["t*y1"], ["x1"], ["y1"], time_var="t")
         for t in (0.0, 0.5, 2.0):
-            P = deviation_tensor(sode, [0.0], [0.7], t)
+            P = sode.deviation_tensor([0.0], [0.7], t)
             assert P[0, 0] == pytest.approx(t * t + 1.0, abs=1e-12)
 
     def test_callable_matches_expression_backend(self):
@@ -221,8 +213,8 @@ class TestDeviationTensor:
         rng = np.random.default_rng(11)
         for x, y in zip(rng.uniform(-1.5, 1.5, size=(5, 2)),
                         rng.uniform(-1.5, 1.5, size=(5, 2))):
-            a = deviation_tensor(expr_sode, x, y)
-            b = deviation_tensor(call_sode, x, y)
+            a = expr_sode.deviation_tensor(x, y)
+            b = call_sode.deviation_tensor(x, y)
             assert np.max(np.abs(a - b)) <= 1e-5
 
 
@@ -269,7 +261,7 @@ class TestHigherInvariants:
             sode = lift(vf)
             for x, y in zip(rng.uniform(-2, 2, size=(5, 2)),
                             rng.uniform(-2, 2, size=(5, 2))):
-                p3, p4, douglas = higher_invariants(sode, x, y)
+                p3, p4, douglas = sode.higher_invariants(x, y)
                 assert np.max(np.abs(p3)) <= 1e-9
                 assert np.max(np.abs(p4)) <= 1e-9
                 assert np.max(np.abs(douglas)) <= 1e-9
@@ -277,14 +269,14 @@ class TestHigherInvariants:
     def test_velocity_free_sode_all_vanish(self):
         sode = Sode.from_expressions(
             ["sin(x1) + x2", "x1*x2"], ["x1", "x2"], ["y1", "y2"])
-        p3, p4, douglas = higher_invariants(sode, [0.4, -0.9], [1.0, 2.0])
+        p3, p4, douglas = sode.higher_invariants([0.4, -0.9], [1.0, 2.0])
         assert np.max(np.abs(p3)) == 0.0
         assert np.max(np.abs(p4)) == 0.0
         assert np.max(np.abs(douglas)) == 0.0
 
     def test_cubic_douglas(self):
         sode = Sode.from_expressions(["y1^3/6"], ["x1"], ["y1"])
-        _, _, douglas = higher_invariants(sode, [0.0], [0.9])
+        _, _, douglas = sode.higher_invariants([0.0], [0.9])
         assert douglas[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_p3_antisymmetry(self):
@@ -293,7 +285,7 @@ class TestHigherInvariants:
         rng = np.random.default_rng(13)
         for x, y in zip(rng.uniform(-1.5, 1.5, size=(5, 2)),
                         rng.uniform(-1.5, 1.5, size=(5, 2))):
-            p3, _, _ = higher_invariants(sode, x, y)
+            p3, _, _ = sode.higher_invariants(x, y)
             assert np.max(np.abs(p3 + p3.transpose(0, 2, 1))) <= 1e-9
 
     def test_p_y_routes_agree(self):
@@ -311,19 +303,19 @@ class TestHigherInvariants:
 class TestInvariantsBundle:
     def test_trace_is_exact_diagonal_sum(self):
         sode = lift(lcdm_system())
-        inv = invariants(sode, [0.2, 0.4], [0.6, -0.1])
+        inv = sode.invariants([0.2, 0.4], [0.6, -0.1])
         assert inv.trace_P == float(inv.P[0, 0] + inv.P[1, 1])
 
     def test_phase_point_recorded(self):
         sode = lift(lcdm_system())
-        inv = invariants(sode, [0.2, 0.4], [0.6, -0.1], 1.5)
+        inv = sode.invariants([0.2, 0.4], [0.6, -0.1], 1.5)
         assert np.array_equal(inv.at[0], [0.2, 0.4])
         assert np.array_equal(inv.at[1], [0.6, -0.1])
         assert inv.at[2] == 1.5
 
     def test_epsilon_zero_at_rest(self):
         sode = lift(lcdm_system())
-        inv = invariants(sode, [0.0, 1.0], [0.0, 0.0])
+        inv = sode.invariants([0.0, 1.0], [0.0, 0.0])
         assert np.all(inv.epsilon == 0.0)
         assert np.array_equal(inv.N, [[2.0, 0.0], [-0.5, 1.5]])
 
