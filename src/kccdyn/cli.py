@@ -157,7 +157,8 @@ def _field_from_model(system, model_name: str, source: str) -> VectorField:
         for key in ("graph", "evolution", "coupling", "sigma"):
             if key not in system:
                 raise DefinitionError(f"{source}: model=network needs {key}=")
-        graph_path = system["graph"]
+        # A relative graph path is relative to the definition file.
+        graph_path = os.path.join(os.path.dirname(source), system["graph"])
         try:
             graph = models.read_graph(graph_path)
         except (OSError, ValueError) as err:
@@ -381,8 +382,7 @@ def _cmd_deviate(args) -> int:
         raise DefinitionError("--t-end must be at least --dt")
 
     sode = kcc.lift(field)
-    run = deviation.integrate(sode, x0, y0, W, t_end=args.t_end, dt=args.dt,
-                              probe_time=args.probe)
+    run = deviation.integrate(sode, x0, y0, W, t_end=args.t_end, dt=args.dt)
     if args.out:
         run.to_csv(args.out)
         print(f"wrote {run.times.size} samples to {args.out}")

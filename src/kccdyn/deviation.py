@@ -42,8 +42,6 @@ class DeviationRun:
     xi_dot: np.ndarray       # (m, n)
     W: np.ndarray            # initial xi'
     norms: np.ndarray        # (m,) Euclidean ||xi(t)||
-    probe_time: float | None
-    t2_comparison: int | None  # sign of ||xi(t*)|| - t*^2 at the probe time
     truncated: bool = False
     truncation_reason: str | None = None
 
@@ -94,8 +92,8 @@ class DeviationRun:
         return buffer.getvalue()
 
 
-def integrate(sode: Sode, x0, y0, W, t_end: float = 10.0, dt: float = 1e-3,
-              probe_time: float | None = 0.1) -> DeviationRun:
+def integrate(sode: Sode, x0, y0, W, t_end: float = 10.0,
+              dt: float = 1e-3) -> DeviationRun:
     """RK4 run from t = 0 to t_end in steps of dt.
 
     A domain error or non-finite state mid-run truncates the run; the
@@ -156,17 +154,9 @@ def integrate(sode: Sode, x0, y0, W, t_end: float = 10.0, dt: float = 1e-3,
     xi_dot = samples[:filled, 3 * n:]
     norms = np.linalg.norm(xi, axis=1)
 
-    comparison = None
-    probe = None
-    if probe_time is not None and filled > 1 and 0.0 < probe_time <= times[-1]:
-        probe = float(probe_time)
-        value = float(np.interp(probe, times, norms)) - probe * probe
-        comparison = int(np.sign(value))
-
     return DeviationRun(
         times=times, states=states, velocities=velocities, xi=xi, xi_dot=xi_dot,
-        W=W.copy(), norms=norms, probe_time=probe, t2_comparison=comparison,
-        truncated=truncated, truncation_reason=reason,
+        W=W.copy(), norms=norms, truncated=truncated, truncation_reason=reason,
     )
 
 

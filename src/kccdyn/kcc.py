@@ -2,8 +2,7 @@
 
 A first-order field dx/dt = f(x) lifts to the second-order system
 x'' + 2G(x, y, t) = 0 with G = -1/2 J_f(x) y, where y = dx/dt. For a system
-in that form (lifted, expression-backed, or an opaque callable) this module
-evaluates:
+in that form (lifted or expression-backed) this module evaluates:
 
   N       nonlinear connection, N^i_j = dG^i/dy^j
   G^i_jl  Berwald coefficients, dN^i_j/dy^l
@@ -20,20 +19,18 @@ the invariants P3, P4, D all vanish; P collapses to the closed form
 P^i_j = 1/2 d^2 f_i/dx_j dx_k y^k + 1/4 (J^2)^i_j and equals 1/4 J^2 at
 y = 0.
 
-Derivatives are exact (compiled forward-mode kernels) for lifted and
-expression-backed systems; a lifted system reads J and the Hessian-vector
-product H y for the deviation integrator straight from those kernels.
-Opaque callables fall back to central differences with step
-cbrt(eps) * max(1, |coordinate|) for first derivatives and the analogous
-eps^(1/4) step for second differences. The higher invariants apply one
-finite-difference layer in y on top of the exact-where-possible P; their
-"vanishes" tolerance is 1e-8 absolute.
+Derivatives are exact (compiled forward-mode kernels) for both kinds of
+system; a lifted system reads J and the Hessian-vector product H y for the
+deviation integrator straight from those kernels. The higher invariants
+apply one central-difference layer in y, with step
+cbrt(eps) * max(1, |coordinate|), on top of the exact P; their "vanishes"
+tolerance is 1e-8 absolute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,11 +41,10 @@ __all__ = ["KccInvariants", "Sode", "lift"]
 
 _EPS = float(np.finfo(float).eps)
 _FIRST_STEP = _EPS ** (1.0 / 3.0)
-_SECOND_STEP = _EPS ** 0.25
 
 
-def _step(coordinate: float, scale: float = _FIRST_STEP) -> float:
-    return scale * max(1.0, abs(float(coordinate)))
+def _step(coordinate: float) -> float:
+    return _FIRST_STEP * max(1.0, abs(float(coordinate)))
 
 
 class _Pieces(NamedTuple):
@@ -89,7 +85,6 @@ class Sode:
     """
 
     dimension: int
-    provenance: str
 
     @staticmethod
     def from_expressions(sources, state_vars: Sequence[str],
@@ -98,13 +93,6 @@ class Sode:
         """G given as expressions over state variables, velocity variables,
         and optionally a time variable, in that order."""
         return _ExpressionSode(sources, state_vars, velocity_vars, time_var)
-
-    @staticmethod
-    def from_callable(fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-                      dimension: int) -> "Sode":
-        """G given as an opaque callable (x, y, t) -> vector of length n.
-        Derivatives are taken by central differences."""
-        return _CallableSode(fn, dimension)
 
     def _check_phase(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         xv = np.asarray(x, dtype=float)
@@ -119,6 +107,10 @@ class Sode:
         raise NotImplementedError
 
     def _pieces(self, x: np.ndarray, y: np.ndarray, t: float) -> _Pieces:
+        raise NotImplementedError
+
+    def _p_y(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+        """dP^i_j/dy^k."""
         raise NotImplementedError
 
     def nonlinear_connection(self, x, y, t: float = 0.0) -> np.ndarray:
@@ -146,19 +138,6 @@ class Sode:
     def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
         pieces = self._pieces(x, y, t)
         return pieces.g, pieces.N, pieces.g_x
-
-    def _p_y(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-        """dP^i_j/dy^k, central differences over the exact P by default."""
-        n = self.dimension
-        out = np.empty((n, n, n))
-        for k in range(n):
-            h = _step(y[k])
-            e = np.zeros(n)
-            e[k] = h
-            plus = self.deviation_tensor(x, y + e, t)
-            minus = self.deviation_tensor(x, y - e, t)
-            out[:, :, k] = (plus - minus) / (2.0 * h)
-        return out
 
     def _p3(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         p_y = self._p_y(x, y, t)
@@ -206,8 +185,6 @@ class _LiftedSode(Sode):
     linear in y. All derivative pieces come from the field's exact Jacobian
     and Hessian stack."""
 
-    provenance = "lifted-from-vector-field"
-
     def __init__(self, field: VectorField):
         self.field = field
         self.dimension = field.dimension
@@ -242,8 +219,6 @@ class _ExpressionSode(Sode):
     """G given as expressions over (state, velocity[, time]) variables; all
     derivatives up to second order are exact, from one call of each
     component's compiled derivative kernel."""
-
-    provenance = "user-supplied"
 
     def __init__(self, sources, state_vars: Sequence[str],
                  velocity_vars: Sequence[str], time_var: str | None):
@@ -329,93 +304,6 @@ class _ExpressionSode(Sode):
                 + np.einsum("il,ljk->ijk", pieces.N, pieces.berwald))
         out += nt_y
         return out
-
-
-class _CallableSode(Sode):
-    """Opaque callable G(x, y, t); every derivative is a central difference."""
-
-    provenance = "user-supplied"
-
-    def __init__(self, fn, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.fn = fn
-        self.dimension = int(dimension)
-
-    def g(self, x, y, t: float = 0.0) -> np.ndarray:
-        xv, yv = self._check_phase(x, y)
-        out = np.asarray(self.fn(xv, yv, float(t)), dtype=float)
-        if out.shape != (self.dimension,):
-            raise ValueError(
-                f"G callable returned shape {out.shape}, expected ({self.dimension},)")
-        return out
-
-    def _d_y(self, x, y, t) -> np.ndarray:
-        n = self.dimension
-        out = np.empty((n, n))
-        for j in range(n):
-            h = _step(y[j])
-            e = np.zeros(n)
-            e[j] = h
-            out[:, j] = (self.g(x, y + e, t) - self.g(x, y - e, t)) / (2.0 * h)
-        return out
-
-    def _d_x(self, x, y, t) -> np.ndarray:
-        n = self.dimension
-        out = np.empty((n, n))
-        for j in range(n):
-            h = _step(x[j])
-            e = np.zeros(n)
-            e[j] = h
-            out[:, j] = (self.g(x + e, y, t) - self.g(x - e, y, t)) / (2.0 * h)
-        return out
-
-    def _motion(self, x: np.ndarray, y: np.ndarray, t: float):
-        return self.g(x, y, t), self._d_y(x, y, t), self._d_x(x, y, t)
-
-    def _pieces(self, x: np.ndarray, y: np.ndarray, t: float) -> _Pieces:
-        n = self.dimension
-        g0 = self.g(x, y, t)
-        N = self._d_y(x, y, t)
-        g_x = self._d_x(x, y, t)
-
-        hy = np.array([_step(v, _SECOND_STEP) for v in y])
-        hx = np.array([_step(v, _SECOND_STEP) for v in x])
-        ey = [np.zeros(n) for _ in range(n)]
-        ex = [np.zeros(n) for _ in range(n)]
-        for k in range(n):
-            ey[k][k] = hy[k]
-            ex[k][k] = hx[k]
-
-        berw = np.empty((n, n, n))
-        for j in range(n):
-            berw[:, j, j] = (self.g(x, y + ey[j], t) - 2.0 * g0
-                             + self.g(x, y - ey[j], t)) / (hy[j] * hy[j])
-            for l in range(j + 1, n):
-                mixed = (self.g(x, y + ey[j] + ey[l], t)
-                         - self.g(x, y + ey[j] - ey[l], t)
-                         - self.g(x, y - ey[j] + ey[l], t)
-                         + self.g(x, y - ey[j] - ey[l], t)) / (4.0 * hy[j] * hy[l])
-                berw[:, j, l] = mixed
-                berw[:, l, j] = mixed
-
-        n_x = np.empty((n, n, n))
-        for j in range(n):
-            for l in range(n):
-                n_x[:, j, l] = (self.g(x + ex[l], y + ey[j], t)
-                                - self.g(x - ex[l], y + ey[j], t)
-                                - self.g(x + ex[l], y - ey[j], t)
-                                + self.g(x - ex[l], y - ey[j], t)) / (4.0 * hx[l] * hy[j])
-
-        ht = _step(t, _SECOND_STEP)
-        n_t = np.empty((n, n))
-        for j in range(n):
-            n_t[:, j] = (self.g(x, y + ey[j], t + ht)
-                         - self.g(x, y + ey[j], t - ht)
-                         - self.g(x, y - ey[j], t + ht)
-                         + self.g(x, y - ey[j], t - ht)) / (4.0 * ht * hy[j])
-
-        return _Pieces(g=g0, N=N, berwald=berw, g_x=g_x, n_x=n_x, n_t=n_t)
 
 
 def lift(vf: VectorField) -> Sode:

@@ -46,6 +46,9 @@ __all__ = [
 
 HYPERBOLIC_TOL = 1e-9
 
+# A box grid with more seeds than this is refused before any seed is built.
+MAX_GRID_SEEDS = 100_000
+
 
 class RootConvergenceError(Exception):
     """The spectrum cannot be trusted: LAPACK failed, an eigenvalue is not
@@ -85,12 +88,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return self.coefficients.size - 1
-
-    def __call__(self, z: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in self.coefficients:
-            out = out * z + c
-        return out
 
 
 def characteristic_polynomial(A) -> CharPoly:
@@ -359,6 +356,12 @@ def _box_seeds(box, grid: int, dimension: int) -> list[np.ndarray]:
         raise ValueError(f"box has {len(intervals)} axes, expected {dimension}")
     if grid < 1:
         raise ValueError("grid count must be at least 1")
+    if grid ** dimension > MAX_GRID_SEEDS:
+        raise ValueError(
+            f"a grid of {grid} per axis in {dimension} dimensions makes "
+            f"{grid ** dimension} seeds, more than {MAX_GRID_SEEDS}; give "
+            "explicit seeds (--seeds) instead of a box (--box), or a coarser "
+            "grid (--grid)")
     axes = [np.linspace(lo, hi, grid) for lo, hi in intervals]
     return [np.array(combo) for combo in itertools.product(*axes)]
 
@@ -369,7 +372,8 @@ def find_fixed_points(vf: VectorField, seeds=None, box=None, grid: int = 5,
     """Damped Newton iteration from explicit seeds or a box grid.
 
     Convergence is max|f(x)| <= tol; converged points within merge_tol in
-    the max norm are merged. Per-seed failures are reported, not fatal.
+    the max norm are merged. Per-seed failures are reported, not fatal. A
+    box grid of more than MAX_GRID_SEEDS seeds raises ValueError.
     """
     if seeds is None and box is None:
         raise ValueError("provide seeds or a box")

@@ -1,7 +1,8 @@
-"""Shared test oracles: finite differences, complex multiset matching, the
-dense second-order dual-number interpreter that the compiled expression
-kernels replaced, and closed forms of the deviation tensor, kept as
-references to compare the library against."""
+"""Shared test oracles: finite differences (also of the KCC pieces of a
+plain second-order G), complex multiset matching, the dense second-order
+dual-number interpreter that the compiled expression kernels replaced, and
+closed forms of the deviation tensor, kept as references to compare the
+library against."""
 
 from __future__ import annotations
 
@@ -45,6 +46,59 @@ def fd_hessian(f, x, h=1e-4):
     return out
 
 
+def _fd_pieces(g, x, y, t):
+    """G, its first derivatives and the second derivatives that P needs, for
+    a plain G(x, y, t) -> length-n vector, by central differences over the
+    joint point z = (x, y, t)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    z = np.concatenate([x, y, [float(t)]])
+    comps = [lambda z, i=i: np.asarray(g(z[:n], z[n:2 * n], z[2 * n]), dtype=float)[i]
+             for i in range(n)]
+    grads = np.stack([fd_gradient(c, z) for c in comps])
+    hessians = np.stack([fd_hessian(c, z) for c in comps])
+    return {
+        "g": np.asarray(g(x, y, float(t)), dtype=float),
+        "N": grads[:, n:2 * n],
+        "g_x": grads[:, :n],
+        "berwald": hessians[:, n:2 * n, n:2 * n],
+        "n_x": hessians[:, n:2 * n, :n],
+        "n_t": hessians[:, n:2 * n, 2 * n],
+    }
+
+
+def fd_motion_terms(g, x, y, t=0.0):
+    """(G, N, dG/dx) of a plain G(x, y, t), by central differences."""
+    pieces = _fd_pieces(g, x, y, t)
+    return pieces["g"], pieces["N"], pieces["g_x"]
+
+
+def fd_deviation_tensor(g, x, y, t=0.0):
+    """P^i_j = -2 dG^i/dx^j - 2 G^l G^i_jl + y^l dN^i_j/dx^l + N^i_l N^l_j
+    + dN^i_j/dt of a plain G(x, y, t), from central differences."""
+    p = _fd_pieces(g, x, y, t)
+    y = np.asarray(y, dtype=float)
+    return (-2.0 * p["g_x"] - 2.0 * np.einsum("ijl,l->ij", p["berwald"], p["g"])
+            + np.einsum("ijl,l->ij", p["n_x"], y) + p["N"] @ p["N"] + p["n_t"])
+
+
+def fd_p_y(sode, x, y, t):
+    """dP^i_j/dy^k by central differences over the sode's exact P, with step
+    cbrt(eps) * max(1, |y_k|)."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    out = np.empty((n, n, n))
+    for k in range(n):
+        h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, abs(y[k]))
+        e = np.zeros(n)
+        e[k] = h
+        plus = sode.deviation_tensor(x, y + e, t)
+        minus = sode.deviation_tensor(x, y - e, t)
+        out[:, :, k] = (plus - minus) / (2.0 * h)
+    return out
+
+
 def assert_complex_multisets_close(actual, expected, tol):
     """Greedy nearest-neighbour matching of two complex multisets."""
     actual = [complex(z) for z in actual]
@@ -66,9 +120,9 @@ class DualScalar:
     """Truncated second-order Taylor value: a scalar together with its first
     and second directional derivatives against m seed directions.
 
-    The second-derivative block stays exactly symmetric under every
-    operation because all update terms are built from symmetric outer
-    products. Arithmetic on constants leaves both derivative blocks zero.
+    The second-derivative block is symmetric only up to rounding: a product
+    adds cross + cross.T, which sums the same terms in another order below
+    the diagonal. Arithmetic on constants leaves both derivative blocks zero.
     """
 
     __slots__ = ("value", "first", "second")
@@ -349,11 +403,16 @@ def oracle_value(expr, point):
 
 
 def oracle_derivatives(expr, point):
-    """(value, gradient, Hessian) by one dense dual-number sweep."""
+    """(value, gradient, Hessian) by one dense dual-number sweep. The Hessian
+    is mirrored from its upper triangle, as the compiled kernel's is, so only
+    the upper triangles are compared."""
     m = len(expr.variables)
     env = [DualScalar.seed(float(v), i, m) for i, v in enumerate(point)]
     out = _evaluate(expr.root, env, _DualOps(m), expr.variables)
-    return out.value, out.first.copy(), out.second.copy()
+    hess = out.second.copy()
+    lower = np.tril_indices(m, -1)
+    hess[lower] = hess.T[lower]
+    return out.value, out.first.copy(), hess
 
 
 # ---------------------------------------------------------------------------

@@ -154,21 +154,46 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert len(json.loads(out)["fixed_points"]) == 3
 
-    def test_network_definition(self, tmp_path, capsys):
+    def test_network_definition(self, tmp_path, capsys, monkeypatch):
         graph = tmp_path / "pair.txt"
         graph.write_text("2\n0 1\n")
+        # A relative graph path is read from the definition file's directory,
+        # whatever the working directory.
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
         path = tmp_path / "net.ini"
+        for spelling in (str(graph), "pair.txt"):
+            path.write_text(
+                "[system]\nname = pair\nmodel = network\n"
+                f"graph = {spelling}\nevolution = -u\ncoupling = u\nsigma = 1\n"
+                "[search]\nbox = -1:1, -1:1\ngrid = 3\n")
+            code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+            assert code == EXIT_OK, (spelling, err)
+            payload = json.loads(out)
+            assert len(payload["fixed_points"]) == 1
+            point = payload["fixed_points"][0]
+            assert point["lyapunov_class"] == "stable-node"
+            assert point["jacobi_verdict"] == "Jacobi-unstable"
+
+    def test_default_grid_over_ceiling_refused(self, tmp_path, capsys):
+        # Without [search] a 10-node ring would get [-2, 2]^10 at grid 5,
+        # 5^10 seeds; the search refuses it before building any seed.
+        graph = tmp_path / "ring10.txt"
+        graph.write_text("10\n" + "".join(f"{k} {(k + 1) % 10}\n" for k in range(10)))
+        path = tmp_path / "ring10.ini"
         path.write_text(
-            "[system]\nname = pair\nmodel = network\n"
-            f"graph = {graph}\nevolution = -u\ncoupling = u\nsigma = 1\n"
-            "[search]\nbox = -1:1, -1:1\ngrid = 3\n")
-        code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+            "[system]\nmodel = network\n"
+            f"graph = {graph}\nevolution = u - u^3\ncoupling = sin(u)\nsigma = 0.8\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "9765625 seeds, more than 100000" in err
+        for option in ("--seeds", "--box", "--grid"):
+            assert option in err
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--seeds", ",".join(["0"] * 10))
         assert code == EXIT_OK
-        payload = json.loads(out)
-        assert len(payload["fixed_points"]) == 1
-        point = payload["fixed_points"][0]
-        assert point["lyapunov_class"] == "stable-node"
-        assert point["jacobi_verdict"] == "Jacobi-unstable"
+        assert out.startswith("system ring10.ini: 1 fixed point(s), 0 failed seed(s)\n")
 
 
     def test_text_prints_no_negative_zero(self, capsys):

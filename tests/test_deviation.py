@@ -101,12 +101,6 @@ class TestIntegrate:
         assert run.final_time < 0.6  # blow-up of x' = x^2 from 2 is at t = 0.5
         assert np.all(np.isfinite(run.xi))
 
-    def test_t2_comparison_recorded(self):
-        run = _harmonic_run(t_end=1.0)
-        # ||xi(0.1)|| = sqrt(2 - 2 cos 0.1) ~ 0.09996 > 0.01
-        assert run.probe_time == 0.1
-        assert run.t2_comparison == 1
-
 
 def _run_with(W=(1.0, 0.0), dt=1e-3, t_end=1.0):
     vf = harmonic_system()

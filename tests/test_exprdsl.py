@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kccdyn.exprdsl import (
@@ -361,6 +361,8 @@ class TestCompiledAgainstOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(_TREES, _POINTS)
+    # the dense sweep rounds h[1, 0] and h[0, 1] apart in the last bit here
+    @example(parse("(x+y)*(3+x)^y", ["x", "y"]).root, [-1.0, -0.5])
     def test_derivatives_match_oracle(self, root, point):
         expr = Expression(root, _NAMES)
         assume(not _cancelling_exponent(root, point))

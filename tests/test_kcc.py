@@ -11,7 +11,12 @@ from kccdyn.models import (
 )
 from kccdyn.odesys import FieldDomainError, VectorField, jacobian
 
-from helpers import deviation_tensor_lifted
+from helpers import (
+    deviation_tensor_lifted,
+    fd_deviation_tensor,
+    fd_motion_terms,
+    fd_p_y,
+)
 
 
 # Symbolic Jacobian of the cosmology benchmark, typed by hand as the oracle.
@@ -56,9 +61,6 @@ class TestLift:
         assert np.array_equal(sode.deviation_tensor(x, y, 0.3),
                               sode.deviation_tensor(x, y, 0.7))
 
-    def test_provenance(self):
-        assert lift(lcdm_system()).provenance == "lifted-from-vector-field"
-
 
 class TestNonlinearConnection:
     def test_reference_value(self):
@@ -84,14 +86,6 @@ class TestNonlinearConnection:
             N = sode.nonlinear_connection([0.0], [y])
             assert N[0, 0] == pytest.approx(y, abs=1e-14)
 
-    def test_callable_backend_matches_expression(self):
-        expr_sode = Sode.from_expressions(["y1^2/2"], ["x1"], ["y1"])
-        call_sode = Sode.from_callable(lambda x, y, t: np.array([y[0] ** 2 / 2]), 1)
-        for y in (0.3, -1.7):
-            a = expr_sode.nonlinear_connection([0.0], [y])
-            b = call_sode.nonlinear_connection([0.0], [y])
-            assert np.max(np.abs(a - b)) <= 1e-6
-
 
 class TestBerwald:
     def test_lifted_vanishes(self):
@@ -111,11 +105,6 @@ class TestBerwald:
             ["x1*y1 + 2*y2", "sin(x2)*y1"], ["x1", "x2"], ["y1", "y2"])
         B = sode.berwald([0.4, -0.3], [1.0, 2.0])
         assert np.max(np.abs(B)) == 0.0
-
-    def test_callable_cubic(self):
-        sode = Sode.from_callable(lambda x, y, t: np.array([y[0] ** 3 / 6]), 1)
-        B = sode.berwald([0.0], [0.8])
-        assert B[0, 0, 0] == pytest.approx(0.8, abs=1e-6)
 
 
 class TestFirstInvariant:
@@ -209,12 +198,11 @@ class TestDeviationTensor:
             return np.array([x[1] * y[0] ** 2 - x[0] * y[1],
                              y[0] * y[1] + x[0] ** 2])
 
-        call_sode = Sode.from_callable(g, 2)
         rng = np.random.default_rng(11)
         for x, y in zip(rng.uniform(-1.5, 1.5, size=(5, 2)),
                         rng.uniform(-1.5, 1.5, size=(5, 2))):
             a = expr_sode.deviation_tensor(x, y)
-            b = call_sode.deviation_tensor(x, y)
+            b = fd_deviation_tensor(g, x, y)
             assert np.max(np.abs(a - b)) <= 1e-5
 
 
@@ -246,11 +234,13 @@ class TestMotionTerms:
     def test_callable_matches_expression_backend(self):
         expr_sode = Sode.from_expressions(
             ["x2*y1^2 - x1*y2", "y1*y2 + x1^2"], ["x1", "x2"], ["y1", "y2"])
-        call_sode = Sode.from_callable(
-            lambda x, y, t: np.array([x[1] * y[0] ** 2 - x[0] * y[1],
-                                      y[0] * y[1] + x[0] ** 2]), 2)
+
+        def g(x, y, t):
+            return np.array([x[1] * y[0] ** 2 - x[0] * y[1],
+                             y[0] * y[1] + x[0] ** 2])
+
         x, y = np.array([0.4, -0.7]), np.array([1.1, 0.3])
-        for a, b in zip(expr_sode.motion_terms(x, y), call_sode.motion_terms(x, y)):
+        for a, b in zip(expr_sode.motion_terms(x, y), fd_motion_terms(g, x, y)):
             assert np.max(np.abs(a - b)) <= 1e-8
 
 
@@ -296,7 +286,7 @@ class TestHigherInvariants:
         for x, y in zip(rng.uniform(-1.5, 1.5, size=(5, 2)),
                         rng.uniform(-1.5, 1.5, size=(5, 2))):
             exact = sode._p_y(x, y, 0.0)
-            differenced = Sode._p_y(sode, x, y, 0.0)
+            differenced = fd_p_y(sode, x, y, 0.0)
             assert np.max(np.abs(exact - differenced)) <= 1e-7
 
 
@@ -329,8 +319,3 @@ class TestValidation:
     def test_expression_sode_needs_square(self):
         with pytest.raises(ValueError):
             Sode.from_expressions(["y1", "y2"], ["x1"], ["y1"])
-
-    def test_callable_shape_checked(self):
-        sode = Sode.from_callable(lambda x, y, t: np.zeros(3), 2)
-        with pytest.raises(ValueError):
-            sode.g([0.0, 0.0], [0.0, 0.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kccdyn import stability
 from kccdyn.exprdsl import BinOp, Expression, Num, Var
 from kccdyn.models import lcdm_system
 from kccdyn.odesys import VectorField
@@ -115,7 +116,7 @@ class TestEigenvalues:
             A = rng.standard_normal((n, n))
             p = characteristic_polynomial(A)
             for lam in eigenvalues(A):
-                assert abs(p(lam)) <= 1e-7 * (1.0 + abs(lam) ** n)
+                assert abs(np.polyval(p.coefficients, lam)) <= 1e-7 * (1.0 + abs(lam) ** n)
 
     @pytest.mark.parametrize("A", [
         [[1.0, np.nan], [0.0, 1.0]],
@@ -379,6 +380,21 @@ class TestFindFixedPoints:
     def test_requires_seeds_or_box(self):
         with pytest.raises(ValueError):
             find_fixed_points(lcdm_system())
+
+    def test_box_grid_ceiling(self, monkeypatch):
+        names = [f"x{i}" for i in range(1, 11)]
+        vf = VectorField.from_expressions([f"-{v}" for v in names], names)
+        with pytest.raises(ValueError) as info:
+            find_fixed_points(vf, seeds=[[0.0] * 10], box=[(-2, 2)] * 10, grid=5)
+        message = str(info.value)
+        assert "9765625 seeds, more than 100000" in message
+        for option in ("--seeds", "--box", "--grid"):
+            assert option in message
+        # exactly at the ceiling the grid runs, one step finer it does not
+        monkeypatch.setattr(stability, "MAX_GRID_SEEDS", 16)
+        assert len(find_fixed_points(lcdm_system(), box=((0, 1), (0, 1)), grid=4).points) == 3
+        with pytest.raises(ValueError):
+            find_fixed_points(lcdm_system(), box=((0, 1), (0, 1)), grid=5)
 
 
 class TestAnalyzeFixedPoint:
