@@ -4,7 +4,7 @@ exprdsl and odesys import this module on first evaluation and cache the
 result on each expression. It builds two functions of the point p, a list
 of floats:
 
-  value(p)        the value, with the float semantics of _float_pow;
+  value(p)        the value alone;
   derivatives(p)  one flat tuple: the value, the gradient entries for the
                   variables the expression mentions (ascending), then the
                   upper-triangle Hessian entries (i <= j, ascending).
@@ -14,9 +14,11 @@ the forward-mode arithmetic on truncated second-order Taylor expansions
 (Griewank & Walther, "Evaluating Derivatives", 2nd ed., 2008) in the order
 of a dense second-order dual-number sweep, but only over the variables
 each sub-expression mentions, so entries that are structurally zero are
-never formed. Operations on constants fold to literals at compile time
-through the same float arithmetic. Domain checks are emitted in place and
-raise DomainError with the offset and fragment of their operation.
+never formed. The value kernel is the same emitter run with no variable
+seeded, so both kernels compute the value by the same float operations.
+Operations on constants fold to literals at compile time through the same
+float arithmetic. Domain checks are emitted in place and raise DomainError
+with the offset and fragment of their operation.
 
 Expressions that are equal up to an order-preserving renaming of their
 variables, like the components of a network whose nodes all run one law,
@@ -38,29 +40,8 @@ import numpy as np
 from .exprdsl import Call, DomainError, Expression, Neg, Node, Num, Var, _render, _walk
 
 
-def _float_pow(a: float, b: float) -> float:
-    if float(b).is_integer():
-        if a == 0.0 and b < 0:
-            raise DomainError("division by zero")
-        try:
-            return a ** b
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if a < 0.0:
-        raise DomainError("negative base with non-integer exponent")
-    if a == 0.0:
-        if b > 0:
-            return 0.0
-        raise DomainError("zero base with negative exponent")
-    try:
-        return a ** b
-    except OverflowError:
-        raise DomainError("overflow in power") from None
-
-
 _KERNEL_GLOBALS = {
     "DomainError": DomainError,
-    "_float_pow": _float_pow,
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
@@ -84,19 +65,37 @@ class _Unreachable(Exception):
         self.statement = statement
 
 
+class _Jet(NamedTuple):
+    """Second-order Taylor coefficients of one sub-expression."""
+
+    value: _Atom
+    grad: dict    # variable rank -> atom, for the variables mentioned
+    hess: dict    # (i, j) with i <= j -> atom; absent entries are zero
+
+
 class _Emitter:
-    """Straight-line code in single-assignment form. Identical right-hand
-    sides share one local, so repeated sub-terms are computed once.
+    """Straight-line code in single-assignment form for the forward-mode
+    value, gradient and Hessian of one expression. Identical right-hand
+    sides share one local, so repeated sub-terms are computed once. Every
+    entry is computed by the same float operations, in the same order, as
+    the dense second-order arithmetic; a term whose factor is structurally
+    zero is left out, which changes no nonzero result.
+
+    Unless `seeded`, no variable carries a gradient, so only the value
+    statements are emitted, and the checks that only derivatives need are
+    left out: that is the value kernel.
 
     `rank` maps each variable index to its place among the variables the
     expression mentions; `sites` maps each node (by id) to its preorder
     position, and `raised` collects the positions whose fragments the code
     reads."""
 
-    def __init__(self, rank: dict[int, int], sites: dict[int, int], raised: set[int]):
+    def __init__(self, rank: dict[int, int], sites: dict[int, int], raised: set[int],
+                 seeded: bool):
         self.rank = rank
         self.sites = sites
         self.raised = raised
+        self.seeded = seeded
         self.lines: list[str] = []
         self.memo: dict[str, str] = {}
         self.count = 0
@@ -139,9 +138,13 @@ class _Emitter:
         return f"raise DomainError({reason!r}, {node.offset!r}, {self.fragment(node)})"
 
     def check(self, node: Node, atom: _Atom, compare: str, reason: str) -> None:
-        """Raise `reason` at `node` when `atom <compare> 0.0`."""
+        """Raise `reason` at `node` when `atom <compare> 0.0`. A condition
+        already checked has passed, so it is not checked again."""
         if isinstance(atom, str):
-            self.lines.append(f"if {atom} {compare} 0.0: {self.error(node, reason)}")
+            condition = f"{atom} {compare} 0.0"
+            if condition not in self.memo:
+                self.memo[condition] = condition
+                self.lines.append(f"if {condition}: {self.error(node, reason)}")
         elif _COMPARE[compare](atom, 0.0):
             raise _Unreachable(self.error(node, reason))
 
@@ -154,75 +157,14 @@ class _Emitter:
                 raise _Unreachable(self.error(node, reason)) from None
             except (ArithmeticError, ValueError):
                 pass
-        name = self.fresh()
-        self.lines += ["try:",
-                       f"    {name} = {template.format(*map(self.ref, args))}",
-                       "except OverflowError:",
-                       f"    {self.error(node, reason)} from None"]
-        return name
-
-    # Float semantics, for the value kernel
-
-    def value(self, node: Node) -> _Atom:
-        if isinstance(node, Num):
-            return float(node.value)
-        if isinstance(node, Var):
-            return f"x{self.rank[node.index]}"
-        if isinstance(node, Neg):
-            return self.op(operator.neg, "-{0}", self.value(node.operand))
-        if isinstance(node, Call):
-            a = self.value(node.arg)
-            if node.func == "exp":
-                return self.guarded(node, math.exp, "exp({0})", a, reason="overflow in exp")
-            if node.func == "ln":
-                self.check(node, a, "<=", "ln of a non-positive value")
-                return self.op(math.log, "log({0})", a)
-            if node.func == "sqrt":
-                self.check(node, a, "<", "square root of a negative value")
-                return self.op(math.sqrt, "sqrt({0})", a)
-            fold = abs if node.func == "abs" else getattr(math, node.func)
-            return self.op(fold, node.func + "({0})", a)
-        a, b = self.value(node.left), self.value(node.right)
-        if node.op == "+":
-            return self.op(operator.add, "{0} + {1}", a, b, commutative=True)
-        if node.op == "-":
-            return self.op(operator.sub, "{0} - {1}", a, b)
-        if node.op == "*":
-            return self.op(operator.mul, "{0} * {1}", a, b, commutative=True)
-        if node.op == "/":
-            self.check(node, b, "==", "division by zero")
-            return self.op(operator.truediv, "{0} / {1}", a, b)
-        return self.float_pow(node, a, b)
-
-    def float_pow(self, node: Node, a: _Atom, b: _Atom) -> _Atom:
-        """_float_pow, its DomainError located at `node`."""
-        if isinstance(a, float) and isinstance(b, float):
-            try:
-                return _float_pow(a, b)
-            except DomainError as error:
-                raise _Unreachable(self.error(node, error.reason)) from None
-        name = self.fresh()
-        self.lines += [
-            "try:",
-            f"    {name} = _float_pow({self.ref(a)}, {self.ref(b)})",
-            "except DomainError as error:",
-            f"    raise DomainError(error.reason, {node.offset!r}, {self.fragment(node)}) from None"]
-        return name
-
-
-class _Jet(NamedTuple):
-    """Second-order Taylor coefficients of one sub-expression."""
-
-    value: _Atom
-    grad: dict    # variable rank -> atom, for the variables mentioned
-    hess: dict    # (i, j) with i <= j -> atom; absent entries are zero
-
-
-class _JetEmitter(_Emitter):
-    """Forward-mode value, gradient and Hessian. Every entry is computed by
-    the same float operations, in the same order, as the dense second-order
-    arithmetic; a term whose factor is structurally zero is left out, which
-    changes no nonzero result."""
+        text = template.format(*map(self.ref, args))
+        if text not in self.memo:
+            self.memo[text] = self.fresh()
+            self.lines += ["try:",
+                           f"    {self.memo[text]} = {text}",
+                           "except OverflowError:",
+                           f"    {self.error(node, reason)} from None"]
+        return self.memo[text]
 
     def add(self, a: _Atom, b: _Atom) -> _Atom:
         return self.op(operator.add, "{0} + {1}", a, b, commutative=True)
@@ -250,7 +192,7 @@ class _JetEmitter(_Emitter):
             return _Jet(float(node.value), {}, {})
         if isinstance(node, Var):
             rank = self.rank[node.index]
-            return _Jet(f"x{rank}", {rank: 1.0}, {})
+            return _Jet(f"x{rank}", {rank: 1.0} if self.seeded else {}, {})
         if isinstance(node, Neg):
             u = self.jet(node.operand)
             return _Jet(self.neg(u.value), {k: self.neg(g) for k, g in u.grad.items()},
@@ -263,7 +205,7 @@ class _JetEmitter(_Emitter):
         if node.op == "*":
             return self.product(u, w)
         if node.op == "/":
-            return self.product(u, self.reciprocal(node, w))
+            return self.quotient(node, u, w)
         return self.power(node, u, w)
 
     def sum(self, u: _Jet, w: _Jet, minus: bool) -> _Jet:
@@ -280,7 +222,8 @@ class _JetEmitter(_Emitter):
 
         return _Jet(combine(u.value, w.value), merge(u.grad, w.grad), merge(u.hess, w.hess))
 
-    def product(self, u: _Jet, w: _Jet) -> _Jet:
+    def product(self, u: _Jet, w: _Jet, value: _Atom | None = None) -> _Jet:
+        """u w; `value`, when given, stands for the product's value."""
         ug, wg = u.grad, w.grad
         grad = {k: self.total(self.mul(u.value, wg[k]) if k in wg else None,
                               self.mul(w.value, ug[k]) if k in ug else None)
@@ -294,7 +237,7 @@ class _JetEmitter(_Emitter):
                 self.mul(w.value, u.hess[i, j]) if (i, j) in u.hess else None,
                 self.mul(ug[i], wg[j]) if i in ug and j in wg else None,
                 self.mul(ug[j], wg[i]) if j in ug and i in wg else None)
-        return _Jet(self.mul(u.value, w.value), grad, hess)
+        return _Jet(self.mul(u.value, w.value) if value is None else value, grad, hess)
 
     def chain(self, u: _Jet, f0: _Atom, slope, curvature) -> _Jet:
         """f(u) from f(u) and thunks for f'(u) and f''(u), which are emitted
@@ -311,11 +254,16 @@ class _JetEmitter(_Emitter):
                     self.mul(f2, self.mul(u.grad[i], u.grad[j])))
         return _Jet(f0, {k: self.mul(f1, g) for k, g in u.grad.items()}, hess)
 
-    def reciprocal(self, node: Node, u: _Jet) -> _Jet:
-        self.check(node, u.value, "==", "division by zero")
-        inv = self.op(lambda v: 1.0 / v, "1.0 / {0}", u.value)
-        return self.chain(u, inv, lambda: self.mul(self.neg(inv), inv),
-                          lambda: self.mul(self.mul(self.mul(2.0, inv), inv), inv))
+    def quotient(self, node: Node, u: _Jet, w: _Jet) -> _Jet:
+        """u / w, its derivatives those of u times the reciprocal of w."""
+        self.check(node, w.value, "==", "division by zero")
+        value = self.op(operator.truediv, "{0} / {1}", u.value, w.value)
+        if not (u.grad or w.grad):
+            return _Jet(value, {}, {})
+        inv = self.op(lambda v: 1.0 / v, "1.0 / {0}", w.value)
+        reciprocal = self.chain(w, inv, lambda: self.mul(self.neg(inv), inv),
+                                lambda: self.mul(self.mul(self.mul(2.0, inv), inv), inv))
+        return self.product(u, reciprocal, value)
 
     def log(self, u: _Jet) -> _Jet:
         def inv():
@@ -328,29 +276,38 @@ class _JetEmitter(_Emitter):
         return self.chain(u, e, lambda: e, lambda: e)
 
     def power(self, node: Node, u: _Jet, w: _Jet) -> _Jet:
-        # An exponent with no variable keeps negative bases legal and exact.
-        if not w.grad and isinstance(w.value, float):
-            if w.value.is_integer() and abs(w.value) < 2 ** 31:
-                return self.integer_power(node, u, int(w.value))
+        b = w.value
+        # An exponent that mentions no variable folds to a literal, unless
+        # it fails at run time before the power is reached.
+        if isinstance(b, float) and not any(isinstance(n, Var) for n in _walk(node.right)):
+            if b == 1.0:
+                return u
+            value = self.pow(node, u.value, b)
+            if b == 0.0 or not self.seeded:
+                return _Jet(value, {}, {})
+            # formed even when u is constant, as the dense arithmetic forms them
+            slope = self.mul(b, self.pow(node, u.value, b - 1.0))
+            curvature = self.mul(b * (b - 1.0), self.pow(node, u.value, b - 2.0))
+            return self.chain(u, value, lambda: slope, lambda: curvature)
         self.check(node, u.value, "<", "negative base with non-integer exponent")
         self.check(node, u.value, "==",
                    "zero base with non-integer exponent (derivative singular)")
         return self.exp(node, self.product(w, self.log(u)))
 
-    def integer_power(self, node: Node, u: _Jet, n: int) -> _Jet:
-        """Binary powering, one product per step."""
-        if n == 0:
-            return _Jet(1.0, {}, {})
-        if n < 0:
-            return self.reciprocal(node, self.integer_power(node, u, -n))
-        result, base = None, u
-        while n:
-            if n & 1:
-                result = base if result is None else self.product(result, base)
-            n >>= 1
-            if n:
-                base = self.product(base, base)
-        return result
+    def pow(self, node: Node, a: _Atom, b: float) -> _Atom:
+        """a ** b for a literal b. An integer b keeps negative bases legal."""
+        if b == 0.0:
+            return 1.0  # a ** 0.0 is 1.0 for every float a, nan included
+        if b == 1.0:
+            return a
+        if b.is_integer():
+            if b < 0.0:
+                self.check(node, a, "==", "division by zero")
+        else:
+            self.check(node, a, "<", "negative base with non-integer exponent")
+            if not b > 0.0:  # 0.0 ** b is 0.0 for b > 0
+                self.check(node, a, "==", "zero base with negative exponent")
+        return self.guarded(node, operator.pow, "{0} ** {1}", a, b, reason="overflow in power")
 
     def call(self, node: Call, u: _Jet) -> _Jet:
         v = u.value
@@ -371,15 +328,16 @@ class _JetEmitter(_Emitter):
             return self.log(u)
         if node.func == "sqrt":
             self.check(node, v, "<", "square root of a negative value")
-            self.check(node, v, "==", "square root derivative singular at zero")
+            if self.seeded:
+                self.check(node, v, "==", "square root derivative singular at zero")
             s = self.op(math.sqrt, "sqrt({0})", v)
             return self.chain(u, s, lambda: self.op(lambda a: 0.5 / a, "0.5 / {0}", s),
                               lambda: self.op(lambda a: -0.25 / a, "-0.25 / {0}",
                                               self.mul(s, v)))
         # abs: sign(0) taken as 0, flat across the kink
-        sign = self.op(lambda a: 0.0 if a == 0.0 else math.copysign(1.0, a),
-                       "0.0 if {0} == 0.0 else copysign(1.0, {0})", v)
-        return self.chain(u, self.op(abs, "abs({0})", v), lambda: sign, lambda: 0.0)
+        return self.chain(u, self.op(abs, "abs({0})", v), lambda: self.op(
+            lambda a: 0.0 if a == 0.0 else math.copysign(1.0, a),
+            "0.0 if {0} == 0.0 else copysign(1.0, {0})", v), lambda: 0.0)
 
 
 class _Kernels(NamedTuple):
@@ -406,16 +364,16 @@ class _Shape(NamedTuple):
     source: np.ndarray
 
 
-def _function(name: str, header: list[str], emitter: _Emitter, emit, returned):
-    """Source of `def name(p)` and the root emitted for it, None when every
-    call raises."""
+def _function(name: str, header: list[str], emitter: _Emitter, root: Node, returned):
+    """Source of `def name(p)` and the jet of `root` emitted for it, None
+    when every call raises."""
     try:
-        root = emit()
-        tail = ["return " + returned(root)]
+        jet = emitter.jet(root)
+        tail = ["return " + returned(jet)]
     except _Unreachable as stop:
-        root, tail = None, [stop.statement]
+        jet, tail = None, [stop.statement]
     body = header + emitter.lines + tail
-    return f"def {name}(p):\n" + "".join(f"    {line}\n" for line in body), root
+    return f"def {name}(p):\n" + "".join(f"    {line}\n" for line in body), jet
 
 
 def _flat(jet: _Jet) -> list[_Atom]:
@@ -443,11 +401,11 @@ def _compile_shape(nodes: list[Node], rank: dict[int, int]) -> _Shape:
     header = [f"x{r} = p[I{r}]" for r in range(len(rank))]
     sites = {id(node): k for k, node in enumerate(nodes)}
     raised: set[int] = set()
-    values = _Emitter(rank, sites, raised)
-    jets = _JetEmitter(rank, sites, raised)
-    value_source, _ = _function("value", header, values,
-                                lambda: values.value(root), values.ref)
-    jet_source, jet = _function("derivatives", header, jets, lambda: jets.jet(root),
+    values = _Emitter(rank, sites, raised, seeded=False)
+    jets = _Emitter(rank, sites, raised, seeded=True)
+    value_source, _ = _function("value", header, values, root,
+                                lambda top: values.ref(top.value))
+    jet_source, jet = _function("derivatives", header, jets, root,
                                 lambda top: "".join(f"{jets.ref(a)}, " for a in _flat(top)))
     module = compile(value_source + jet_source, "<kccdyn expression>", "exec")
     code = {c.co_name: c for c in module.co_consts if isinstance(c, CodeType)}

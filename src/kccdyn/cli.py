@@ -278,7 +278,8 @@ def _cmd_analyze(args) -> int:
         try:
             reports.append(stability.analyze_fixed_point(
                 definition.field, point, residual_tol=max(args.tol, 1e-8)))
-        except (stability.NotAFixedPointError, stability.RootConvergenceError) as err:
+        except (stability.NotAFixedPointError, stability.RootConvergenceError,
+                FieldDomainError) as err:
             log.warning("analysis failed at %s: %s", point.tolist(), err)
     if not reports:
         if search.points:

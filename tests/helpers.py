@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from kccdyn._codegen import _float_pow
 from kccdyn.exprdsl import BinOp, Call, DomainError, Neg, Num, Var, _render
 from kccdyn.models import laplacian
 
@@ -116,6 +115,28 @@ def assert_complex_multisets_close(actual, expected, tol):
 # Reference interpreter: a tree walk over floats or dense second-order duals
 
 
+def _float_pow(a: float, b: float) -> float:
+    """a ** b with the domain checks of the float semantics: an integer b
+    keeps negative bases legal."""
+    if float(b).is_integer():
+        if a == 0.0 and b < 0:
+            raise DomainError("division by zero")
+        try:
+            return a ** b
+        except OverflowError:
+            raise DomainError("overflow in power") from None
+    if a < 0.0:
+        raise DomainError("negative base with non-integer exponent")
+    if a == 0.0:
+        if b > 0:
+            return 0.0
+        raise DomainError("zero base with negative exponent")
+    try:
+        return a ** b
+    except OverflowError:
+        raise DomainError("overflow in power") from None
+
+
 class DualScalar:
     """Truncated second-order Taylor value: a scalar together with its first
     and second directional derivatives against m seed directions.
@@ -208,49 +229,28 @@ class DualScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
-
-    def _integer_power(self, n: int) -> "DualScalar":
-        if n == 0:
-            return DualScalar.constant(1.0, self.first.shape[0])
-        if n < 0:
-            return self._integer_power(-n).reciprocal()
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # the derivatives through the reciprocal, the value as a quotient
+        out = self * other.reciprocal()
+        out.value = self.value / other.value
+        return out
 
     def __pow__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # A constant integer exponent keeps negative bases legal and exact.
+        # A constant exponent b takes the power rule, b a^(b-1) and
+        # b (b-1) a^(b-2), with the float semantics of a ** b.
         if not other.first.any() and not other.second.any():
-            e = other.value
-            if float(e).is_integer() and abs(e) < 2 ** 31:
-                return self._integer_power(int(e))
+            a, b = self.value, other.value
+            if b == 0.0 or b == 1.0:
+                return self._chain(_float_pow(a, b), b, 0.0)
+            return self._chain(_float_pow(a, b), b * _float_pow(a, b - 1.0),
+                               b * (b - 1.0) * _float_pow(a, b - 2.0))
         if self.value < 0.0:
             raise DomainError("negative base with non-integer exponent")
         if self.value == 0.0:
             raise DomainError("zero base with non-integer exponent (derivative singular)")
         return (other * self.ln()).exp()
-
-    def __rpow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other ** self
 
     def sin(self) -> "DualScalar":
         s, c = math.sin(self.value), math.cos(self.value)

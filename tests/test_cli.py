@@ -141,6 +141,28 @@ class TestAnalyze:
         assert len(warnings) == 1
         assert "warning: analysis failed" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_undifferentiable_point_skipped(self, tmp_path, capsys, caplog, fmt):
+        # sqrt(x) - x has no derivative at its fixed point (0, 0); the
+        # point (1, 0) is still analysed
+        path = tmp_path / "sqrt.ini"
+        path.write_text("[system]\nvariables = x, y\nf1 = sqrt(x) - x\nf2 = -y\n"
+                        "[search]\nseeds = 0, 0; 0.9, 0.1\n")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--format", fmt)
+        assert code == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("analysis failed at [0.0, 0.0]")]
+        assert len(warnings) == 1
+        assert "square root derivative singular at zero" in warnings[0]
+        if fmt == "json":
+            points = json.loads(out)["fixed_points"]
+            assert len(points) == 1
+            assert points[0]["location"] == pytest.approx([1.0, 0.0])
+            assert points[0]["lyapunov_class"] == "stable-node"
+        else:
+            assert "1 fixed point(s)" in out
+            assert "fixed point (1, 0)" in out
+
     def test_model_and_components_conflict(self, tmp_path, capsys):
         path = tmp_path / "conflict.ini"
         path.write_text("[system]\nmodel = lcdm\nvariables = x1\nf1 = x1\n")

@@ -94,11 +94,21 @@ class TestIntegrate:
             _run_with(t_end=1e-4, dt=1e-3)
 
     def test_divergence_truncates(self):
-        vf = VectorField.from_expressions(["x1^2"], ["x1"])
+        vf = VectorField.from_expressions(["x1*x1"], ["x1"])
         run = integrate(lift(vf), [2.0], [4.0], [1.0], t_end=2.0, dt=1e-3)
         assert run.truncated
         assert "divergence" in run.truncation_reason
         assert run.final_time < 0.6  # blow-up of x' = x^2 from 2 is at t = 0.5
+        assert np.all(np.isfinite(run.xi))
+
+    def test_power_overflow_truncates(self):
+        # the same blow-up through a power stops at its overflow check,
+        # before the state turns non-finite
+        vf = VectorField.from_expressions(["x1^2"], ["x1"])
+        run = integrate(lift(vf), [2.0], [4.0], [1.0], t_end=2.0, dt=1e-3)
+        assert run.truncated
+        assert "overflow in power in 'x1^2'" in run.truncation_reason
+        assert run.final_time < 0.6
         assert np.all(np.isfinite(run.xi))
 
 
