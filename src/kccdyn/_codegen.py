@@ -289,9 +289,8 @@ class _Emitter:
             slope = self.mul(b, self.pow(node, u.value, b - 1.0))
             curvature = self.mul(b * (b - 1.0), self.pow(node, u.value, b - 2.0))
             return self.chain(u, value, lambda: slope, lambda: curvature)
-        self.check(node, u.value, "<", "negative base with non-integer exponent")
-        self.check(node, u.value, "==",
-                   "zero base with non-integer exponent (derivative singular)")
+        self.check(node, u.value, "<", "negative base with variable exponent")
+        self.check(node, u.value, "==", "zero base with variable exponent")
         return self.exp(node, self.product(w, self.log(u)))
 
     def pow(self, node: Node, a: _Atom, b: float) -> _Atom:
@@ -331,9 +330,14 @@ class _Emitter:
             if self.seeded:
                 self.check(node, v, "==", "square root derivative singular at zero")
             s = self.op(math.sqrt, "sqrt({0})", v)
+
+            def curvature():
+                sv = self.mul(s, v)  # underflows to 0 for v below about 1.8e-216
+                self.check(node, sv, "==", "square root curvature out of range near zero")
+                return self.op(lambda a: -0.25 / a, "-0.25 / {0}", sv)
+
             return self.chain(u, s, lambda: self.op(lambda a: 0.5 / a, "0.5 / {0}", s),
-                              lambda: self.op(lambda a: -0.25 / a, "-0.25 / {0}",
-                                              self.mul(s, v)))
+                              curvature)
         # abs: sign(0) taken as 0, flat across the kink
         return self.chain(u, self.op(abs, "abs({0})", v), lambda: self.op(
             lambda a: 0.0 if a == 0.0 else math.copysign(1.0, a),

@@ -19,7 +19,6 @@ authoritative verdict.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ class DeviationRun:
     states: np.ndarray       # (m, n) x(t)
     velocities: np.ndarray   # (m, n) y(t)
     xi: np.ndarray           # (m, n)
-    xi_dot: np.ndarray       # (m, n)
     W: np.ndarray            # initial xi'
     norms: np.ndarray        # (m,) Euclidean ||xi(t)||
     truncated: bool = False
@@ -85,11 +83,6 @@ class DeviationRun:
         finally:
             if close:
                 handle.close()
-
-    def csv_text(self) -> str:
-        buffer = io.StringIO()
-        self.to_csv(buffer)
-        return buffer.getvalue()
 
 
 def integrate(sode: Sode, x0, y0, W, t_end: float = 10.0,
@@ -151,11 +144,10 @@ def integrate(sode: Sode, x0, y0, W, t_end: float = 10.0,
     states = samples[:filled, :n]
     velocities = samples[:filled, n:2 * n]
     xi = samples[:filled, 2 * n:3 * n]
-    xi_dot = samples[:filled, 3 * n:]
     norms = np.linalg.norm(xi, axis=1)
 
     return DeviationRun(
-        times=times, states=states, velocities=velocities, xi=xi, xi_dot=xi_dot,
+        times=times, states=states, velocities=velocities, xi=xi,
         W=W.copy(), norms=norms, truncated=truncated, truncation_reason=reason,
     )
 

@@ -82,9 +82,6 @@ class AdjacencyGraph:
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
         return cls(node_count=node_count, edges=frozenset((int(i), int(j)) for i, j in edges))
 
-    def degree(self, node: int) -> int:
-        return sum(1 for i, j in self.edges if node in (i, j))
-
 
 def laplacian(graph: AdjacencyGraph) -> np.ndarray:
     """Degree matrix minus adjacency; symmetric with exactly-zero row sums."""

@@ -11,7 +11,8 @@ of the deviation tensor is {lambda^2 / 4} for Jacobian eigenvalues lambda,
 so a fixed point is Jacobi stable iff the dimension is even, every lambda
 is strictly complex, and Re(lambda^2) = alpha^2 - beta^2 < 0 for all pairs.
 Odd-dimensional systems always carry a real eigenvalue with lambda^2 >= 0
-and therefore are never Jacobi stable.
+and therefore are never Jacobi stable. Both halves of a report come from
+one eigenvalue computation.
 """
 
 from __future__ import annotations
@@ -51,15 +52,8 @@ MAX_GRID_SEEDS = 100_000
 
 
 class RootConvergenceError(Exception):
-    """The spectrum cannot be trusted: LAPACK failed, an eigenvalue is not
-    finite, or the two deviation-spectrum routes disagree. Carries the
-    eigenvalue estimates (iterates) and their residuals, each empty where
-    none exist."""
-
-    def __init__(self, message: str, iterates, residuals):
-        self.iterates = list(iterates)
-        self.residuals = list(residuals)
-        super().__init__(message)
+    """The spectrum cannot be trusted: LAPACK failed (no convergence, or an
+    inf or NaN matrix entry), or an eigenvalue is not finite."""
 
 
 class NotAFixedPointError(Exception):
@@ -111,8 +105,10 @@ def characteristic_polynomial(A) -> CharPoly:
 
 
 def _sorted_spectrum(values) -> list[complex]:
-    """The one order of every reported spectrum: by (Re, Im)."""
-    return sorted(values, key=lambda z: (z.real, z.imag))
+    """The one form of every reported spectrum: sorted by (Re, Im), with
+    -0.0 turned into 0.0 (adding 0.0 does that), so reports never print "-0"."""
+    return sorted((complex(z.real + 0.0, z.imag + 0.0) for z in values),
+                  key=lambda z: (z.real, z.imag))
 
 
 def eigenvalues(A) -> list[complex]:
@@ -128,11 +124,10 @@ def eigenvalues(A) -> list[complex]:
     try:
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as err:
-        raise RootConvergenceError(f"eigenvalue computation failed: {err}", [], []) from err
+        raise RootConvergenceError(f"eigenvalue computation failed: {err}") from err
     if not np.all(np.isfinite(eigs)):
-        raise RootConvergenceError("non-finite eigenvalue", eigs, [])
-    # Adding 0.0 turns -0.0 into 0.0, so reports never print "-0".
-    return _sorted_spectrum(complex(z.real + 0.0, z.imag + 0.0) for z in eigs)
+        raise RootConvergenceError("non-finite eigenvalue")
+    return _sorted_spectrum(eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def lyapunov_classify(eigs: Sequence[complex], tol: float = HYPERBOLIC_TOL) -> s
     return "saddle-focus"
 
 
-def jacobi_classify(eigs: Sequence[complex], dimension: int | None = None,
+def jacobi_classify(eigs: Sequence[complex],
                     tol: float = HYPERBOLIC_TOL) -> tuple[str, float, list[complex]]:
     """(verdict, margin, spectrum of 1/4 A^2) from Jacobian eigenvalues.
 
@@ -262,11 +257,13 @@ def jacobi_classify(eigs: Sequence[complex], dimension: int | None = None,
     negative margin means every deviation-tensor eigenvalue sits in the open
     left half-plane (Jacobi stable); strictly positive means some sits in
     the right half-plane (Jacobi unstable); within tol is indeterminate.
+    A real eigenvalue gives margin >= 0. LAPACK pairs the complex
+    eigenvalues of a real matrix exactly, so an odd-dimensional one always
+    keeps a real eigenvalue and is never Jacobi stable.
     """
     eigs = [complex(z) for z in eigs]
     if not eigs:
         raise ValueError("empty eigenvalue list")
-    n = len(eigs) if dimension is None else int(dimension)
     squares = [z * z for z in eigs]
     margin = max(s.real for s in squares)
     if margin > tol:
@@ -275,17 +272,7 @@ def jacobi_classify(eigs: Sequence[complex], dimension: int | None = None,
         verdict = "Jacobi-stable"
     else:
         verdict = "indeterminate"
-    spectrum = _sorted_spectrum(s / 4.0 for s in squares)
-    # Structural route: even dimension, all eigenvalues strictly complex,
-    # alpha^2 < beta^2 for every pair. Must agree with the margin route.
-    structural = (n % 2 == 0
-                  and all(abs(z.imag) > tol for z in eigs)
-                  and all(z.real ** 2 - z.imag ** 2 < -tol for z in eigs))
-    if structural != (verdict == "Jacobi-stable"):
-        raise RuntimeError(
-            f"internal inconsistency: margin route says {verdict}, structural "
-            f"route says {'stable' if structural else 'not stable'} for {eigs}")
-    return verdict, float(margin), spectrum
+    return verdict, float(margin), _sorted_spectrum(s / 4.0 for s in squares)
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +407,11 @@ class FixedPointReport:
     jacobi_saddle_focus: bool = False
 
 
-def _match_multisets(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
-    """Greedy nearest-neighbour matching of two complex multisets."""
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for z in a:
-        best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - z),
-                   default=None)
-        if best is None or abs(remaining[best] - z) > tol:
-            return False
-        remaining.pop(best)
-    return True
-
-
 def analyze_fixed_point(vf: VectorField, location, residual_tol: float = 1e-8,
                         tol: float = HYPERBOLIC_TOL) -> FixedPointReport:
-    """Classify one fixed point under both stability notions.
-
-    The deviation-tensor spectrum is computed twice, as eigenvalues(A^2/4)
-    and as {lambda^2/4}, and the two are required to agree within 1e-7.
-    """
+    """Classify one fixed point under both stability notions, from one
+    spectrum: the deviation-tensor spectrum is {lambda^2/4} of the Jacobian
+    eigenvalues, since P = 1/4 A^2 at a fixed point."""
     x = np.asarray(location, dtype=float)
     fx, residual = _residual(vf, x)
     if residual > residual_tol:
@@ -448,13 +419,7 @@ def analyze_fixed_point(vf: VectorField, location, residual_tol: float = 1e-8,
     A = jacobian(vf, x)
     poly = characteristic_polynomial(A)
     eigs = eigenvalues(A)
-    verdict, margin, spectrum_from_eigs = jacobi_classify(eigs, vf.dimension, tol)
-    spectrum_direct = eigenvalues(0.25 * (A @ A))
-    if not _match_multisets(spectrum_direct, spectrum_from_eigs, 1e-7):
-        raise RootConvergenceError(
-            "deviation spectrum routes disagree beyond 1e-7",
-            spectrum_direct, [abs(a - b) for a, b in
-                              zip(spectrum_direct, spectrum_from_eigs)])
+    verdict, margin, spectrum = jacobi_classify(eigs, tol)
     saddle_focus = False
     if vf.dimension == 3:
         pair = [z for z in eigs if abs(z.imag) > tol]
@@ -469,7 +434,7 @@ def analyze_fixed_point(vf: VectorField, location, residual_tol: float = 1e-8,
         hurwitz=hurwitz_determinants(poly),
         descartes_bound=descartes_bound(poly),
         lyapunov_class=lyapunov_classify(eigs, tol),
-        jacobi_spectrum=spectrum_direct,
+        jacobi_spectrum=spectrum,
         jacobi_verdict=verdict,
         jacobi_margin=margin,
         jacobi_saddle_focus=saddle_focus,

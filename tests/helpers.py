@@ -247,9 +247,9 @@ class DualScalar:
             return self._chain(_float_pow(a, b), b * _float_pow(a, b - 1.0),
                                b * (b - 1.0) * _float_pow(a, b - 2.0))
         if self.value < 0.0:
-            raise DomainError("negative base with non-integer exponent")
+            raise DomainError("negative base with variable exponent")
         if self.value == 0.0:
-            raise DomainError("zero base with non-integer exponent (derivative singular)")
+            raise DomainError("zero base with variable exponent")
         return (other * self.ln()).exp()
 
     def sin(self) -> "DualScalar":
@@ -279,6 +279,8 @@ class DualScalar:
         if self.value == 0.0:
             raise DomainError("square root derivative singular at zero")
         s = math.sqrt(self.value)
+        if s * self.value == 0.0:
+            raise DomainError("square root curvature out of range near zero")
         return self._chain(s, 0.5 / s, -0.25 / (s * self.value))
 
     def __abs__(self) -> "DualScalar":

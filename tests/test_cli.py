@@ -40,8 +40,8 @@ grid = 3
 
 
 # S J S^-1 for the 3x3 Jordan block J at -1, S = [[1, 1, 0], [0, 1, 1], [1, 0, 1]].
-# The triple eigenvalue is resolved only to about eps^(1/3), so the two
-# deviation-spectrum routes disagree and the analysis of the origin fails.
+# The triple eigenvalue is resolved only to about eps^(1/3); the margin
+# max Re(lambda^2) stays near 1, far from the indeterminate band.
 JORDAN_DEFINITION = """\
 [system]
 name = jordan block
@@ -129,8 +129,11 @@ class TestAnalyze:
         assert "no fixed point" in err
 
     def test_analysis_failure_reported(self, tmp_path, capsys, caplog):
-        path = tmp_path / "jordan.ini"
-        path.write_text(JORDAN_DEFINITION)
+        # f1 is 0 at the seed, but its Jacobian entry 1e300*1e300 is inf,
+        # so the spectrum cannot be computed
+        path = tmp_path / "infinite.ini"
+        path.write_text("[system]\nvariables = x, y\nf1 = x*1e300*1e300\nf2 = -y\n"
+                        "[search]\nseeds = 0, 0\n")
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == EXIT_NO_FIXED_POINT
         assert "1 fixed point(s) found, none could be analysed" in err
@@ -140,6 +143,29 @@ class TestAnalyze:
                     if r.getMessage().startswith("analysis failed at [")]
         assert len(warnings) == 1
         assert "warning: analysis failed" not in err
+
+    def test_subnormal_sqrt_curvature_reported(self, tmp_path, capsys, caplog):
+        # the seed x = 1e-320 already meets the residual tolerance, and there
+        # sqrt(x) * x underflows to 0
+        path = tmp_path / "subnormal.ini"
+        path.write_text("[system]\nvariables = x, y\nf1 = sqrt(x) - 1e-170\nf2 = -y\n"
+                        "[search]\nseeds = 1e-320, 0\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_NO_FIXED_POINT
+        assert "1 fixed point(s) found, none could be analysed" in err
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("analysis failed at [")]
+        assert len(warnings) == 1
+        assert "square root curvature out of range near zero" in warnings[0]
+
+    def test_defective_spectrum_analysed(self, tmp_path, capsys):
+        path = tmp_path / "jordan.ini"
+        path.write_text(JORDAN_DEFINITION)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_OK
+        assert "1 fixed point(s), 0 failed seed(s)" in out
+        margin = re.search(r"jacobi verdict    Jacobi-unstable \(margin (\S+)\)", out)
+        assert abs(float(margin.group(1)) - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_undifferentiable_point_skipped(self, tmp_path, capsys, caplog, fmt):
@@ -255,8 +281,7 @@ class TestAnalyze:
         assert all(v is None or math.isfinite(v) for v in hurwitz)
 
     def test_json_strict_when_charpoly_overflows(self, tmp_path, capsys):
-        # Powers of two keep both deviation-spectrum routes exact, so the
-        # analysis succeeds while det A = -2^1098 leaves float range.
+        # det A = -2^1098 leaves float range; the eigenvalues are exact.
         path = tmp_path / "large.ini"
         path.write_text(
             "[system]\nname = large diagonal\nvariables = x1, x2, x3\n"

@@ -249,6 +249,20 @@ class TestDerivatives:
         with pytest.raises(DomainError):
             parse("sqrt(x1)", ["x1"]).with_derivatives([0.0])
 
+    def test_sqrt_curvature_at_subnormal_raises(self):
+        # sqrt(5e-324) * 5e-324 underflows to 0, so -0.25 / (s * v) has no
+        # float value; the value itself is fine
+        expr = parse("1 + sqrt(x)", ["x"])
+        assert expr.evaluate([5e-324]) == 1.0
+        with pytest.raises(DomainError) as info:
+            expr.with_derivatives([5e-324])
+        assert info.value.reason == "square root curvature out of range near zero"
+        assert info.value.offset == 4
+        assert info.value.fragment == "sqrt(x)"
+        with pytest.raises(DomainError) as info:
+            oracle_derivatives(expr, [5e-324])
+        assert info.value.reason == "square root curvature out of range near zero"
+
 
 class TestCompiledDerivatives:
     def test_constant_blocks_stay_zero(self):
@@ -304,12 +318,22 @@ class TestPowerSemantics:
             for kernel in (Expression.evaluate, Expression.with_derivatives):
                 with pytest.raises(DomainError) as info:
                     kernel(expr, [-2.0, 0.5])
-                assert info.value.reason == "negative base with non-integer exponent"
+                assert info.value.reason == "negative base with variable exponent"
                 assert info.value.offset == 1
                 assert info.value.fragment == str(expr)
             value = expr.evaluate([2.0, 0.5])
             assert value == expr.with_derivatives([2.0, 0.5])[0]
             assert value == pytest.approx(at_two, rel=1e-15)
+
+    def test_zero_base_variable_exponent(self):
+        # 0^2 is 0, but x^y takes exp(y ln x), which needs x > 0
+        expr = parse("x^y", ["x", "y"])
+        for kernel in (Expression.evaluate, Expression.with_derivatives):
+            with pytest.raises(DomainError) as info:
+                kernel(expr, [0.0, 2.0])
+            assert info.value.reason == "zero base with variable exponent"
+            assert info.value.offset == 1
+            assert info.value.fragment == "x^y"
 
     def test_zero_base_negative_constant_exponent(self):
         for kernel in (Expression.evaluate, Expression.with_derivatives):
@@ -387,13 +411,13 @@ def _constant_exponents(root) -> bool:
 
 
 # Failures that only the derivative kernel can meet: the slope of sqrt at
-# 0, a derivative term of a power, and -0.25 / (s * v) in the curvature of
+# 0, a derivative term of a power, and the curvature -0.25 / (s * v) of
 # sqrt(v) when s * v underflows to zero.
 _DERIVATIVE_ONLY = {
     ("domain", "square root derivative singular at zero"),
     ("domain", "zero base with negative exponent"),
     ("domain", "overflow in power"),
-    ("error", ZeroDivisionError),
+    ("domain", "square root curvature out of range near zero"),
 }
 
 

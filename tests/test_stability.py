@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kccdyn import stability
 from kccdyn.exprdsl import BinOp, Expression, Num, Var
@@ -290,6 +294,10 @@ class TestLyapunovClassify:
         assert lyapunov_classify(eigs) == label
 
 
+# Halves, so that alpha = +-beta, beta = 0 and zero entries come up often.
+_ENTRIES = st.integers(-6, 6).map(lambda v: v / 2.0)
+
+
 class TestJacobiClassify:
     def test_stable_complex_pair(self):
         verdict, margin, spectrum = jacobi_classify([-1 + 2j, -1 - 2j])
@@ -307,8 +315,32 @@ class TestJacobiClassify:
         rng = np.random.default_rng(6)
         for _ in range(50):
             eigs = eigenvalues(rng.standard_normal((3, 3)))
-            verdict, _, _ = jacobi_classify(eigs, 3)
+            verdict, _, _ = jacobi_classify(eigs)
             assert verdict != "Jacobi-stable"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(_ENTRIES), st.tuples(_ENTRIES, _ENTRIES)),
+                    min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stable_only_in_even_dimension_with_complex_spectrum(self, blocks, seed):
+        # S D S^-1, D block-diagonal with real 1x1 entries and 2x2 blocks
+        # [[alpha, beta], [-beta, alpha]] (eigenvalues alpha +- i beta)
+        n = sum(len(b) for b in blocks)
+        D = np.zeros((n, n))
+        i = 0
+        for block in blocks:
+            if len(block) == 1:
+                D[i, i] = block[0]
+            else:
+                alpha, beta = block
+                D[i:i + 2, i:i + 2] = [[alpha, beta], [-beta, alpha]]
+            i += len(block)
+        S = np.random.default_rng(seed).standard_normal((n, n))
+        eigs = eigenvalues(S @ D @ np.linalg.inv(S))
+        verdict, _, _ = jacobi_classify(eigs)
+        if verdict == "Jacobi-stable":
+            assert n % 2 == 0
+            assert all(abs(z.imag) > stability.HYPERBOLIC_TOL for z in eigs)
 
     def test_boundary_indeterminate(self):
         verdict, margin, _ = jacobi_classify([1 + 1j, 1 - 1j])
@@ -448,6 +480,33 @@ class TestAnalyzeFixedPoint:
         report = analyze_fixed_point(_linear_field(A), [0.0, 0.0])
         assert_complex_multisets_close(report.eigenvalues, [-1.0, -1.0], 1e-7)
         assert report.jacobi_verdict == "Jacobi-unstable"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+    def test_jordan_block_is_jacobi_unstable(self, k, seed):
+        # S J S^-1 with J the k x k Jordan block at -1. LAPACK splits the
+        # k-fold eigenvalue by about delta = (cond(S) eps |A|)^(1/k), and
+        # the margin max Re(lambda^2) = 1 - 2 Re(lambda + 1) + ... moves by
+        # about 2 delta; over 12 000 seeded draws it moved by at most 1.9 delta.
+        S = np.random.default_rng(seed).standard_normal((k, k))
+        A = S @ (np.eye(k, k=1) - np.eye(k)) @ np.linalg.inv(S)
+        report = analyze_fixed_point(_linear_field(A), np.zeros(k))
+        assert report.jacobi_verdict == "Jacobi-unstable"
+        delta = (np.linalg.cond(S) * np.finfo(float).eps * np.linalg.norm(A, 2)) ** (1.0 / k)
+        assert abs(report.jacobi_margin - 1.0) <= 4.0 * delta
+
+    def test_jacobi_spectrum_is_quarter_square_of_eigenvalues(self):
+        trace_zero = np.array([[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, -1.0, 0.0]])
+        reports = [analyze_fixed_point(lcdm_system(), p)
+                   for p in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.0])]
+        reports.append(analyze_fixed_point(_linear_field(trace_zero), np.zeros(4)))
+        for report in reports:
+            squares = [z * z / 4.0 for z in report.eigenvalues]
+            assert report.jacobi_spectrum == sorted(squares, key=lambda z: (z.real, z.imag))
+            # the square of a negative real eigenvalue has imaginary part -0.0
+            parts = [part for z in report.jacobi_spectrum for part in (z.real, z.imag)]
+            assert all(math.copysign(1.0, part) == 1.0 for part in parts if part == 0.0)
 
     def test_concurrent_analyses_match_serial(self):
         from concurrent.futures import ThreadPoolExecutor
