@@ -137,15 +137,16 @@ class _Emitter:
     def error(self, node: Node, reason: str) -> str:
         return f"raise DomainError({reason!r}, {node.offset!r}, {self.fragment(node)})"
 
-    def check(self, node: Node, atom: _Atom, compare: str, reason: str) -> None:
-        """Raise `reason` at `node` when `atom <compare> 0.0`. A condition
+    def check(self, node: Node, atom: _Atom, compare: str, reason: str,
+              bound: float = 0.0) -> None:
+        """Raise `reason` at `node` when `atom <compare> bound`. A condition
         already checked has passed, so it is not checked again."""
         if isinstance(atom, str):
-            condition = f"{atom} {compare} 0.0"
+            condition = f"{atom} {compare} {self.ref(bound)}"
             if condition not in self.memo:
                 self.memo[condition] = condition
                 self.lines.append(f"if {condition}: {self.error(node, reason)}")
-        elif _COMPARE[compare](atom, 0.0):
+        elif _COMPARE[compare](atom, bound):
             raise _Unreachable(self.error(node, reason))
 
     def guarded(self, node: Node, fold, template: str, *args: _Atom, reason: str) -> _Atom:
@@ -332,9 +333,14 @@ class _Emitter:
             s = self.op(math.sqrt, "sqrt({0})", v)
 
             def curvature():
-                sv = self.mul(s, v)  # underflows to 0 for v below about 1.8e-216
-                self.check(node, sv, "==", "square root curvature out of range near zero")
-                return self.op(lambda a: -0.25 / a, "-0.25 / {0}", sv)
+                # s * v underflows to 0 for v below about 1.8e-216, and
+                # -0.25 / (s * v) overflows to -inf up to about 1.2e-206
+                reason = "square root curvature out of range near zero"
+                sv = self.mul(s, v)
+                self.check(node, sv, "==", reason)
+                c = self.op(lambda a: -0.25 / a, "-0.25 / {0}", sv)
+                self.check(node, c, "==", reason, bound=-math.inf)
+                return c
 
             return self.chain(u, s, lambda: self.op(lambda a: 0.5 / a, "0.5 / {0}", s),
                               curvature)

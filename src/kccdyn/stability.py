@@ -5,6 +5,8 @@ the matrix itself and so stays accurate where the roots of the
 characteristic polynomial would not. The characteristic polynomial
 (Faddeev-LeVerrier recurrence, integer divisions only) is still computed,
 but only for the report and for the Routh-Hurwitz and Descartes results.
+The Hurwitz minors are exact for its float coefficients: one fraction-free
+Routh pass over Python integers, each minor rounded once at the end.
 
 The Jacobi side rests on the fixed-point identity P = 1/4 A^2: the spectrum
 of the deviation tensor is {lambda^2 / 4} for Jacobian eigenvalues lambda,
@@ -18,6 +20,7 @@ one eigenvalue computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -147,37 +150,92 @@ def hurwitz_matrix(p: CharPoly) -> np.ndarray:
     return H
 
 
-def _bareiss_determinant(M: np.ndarray) -> float:
-    """Fraction-free elimination with partial pivoting. Each step updates
-    the whole trailing block at once; every entry gets the float operations
-    of the row-by-row update, so the result is the same to the bit. The
-    eliminated column is left as it is, since no later step reads it."""
-    M = np.array(M, dtype=float)
-    n = M.shape[0]
-    if n == 0:
-        return 1.0
-    sign = 1.0
-    prev = 1.0
-    for k in range(n - 1):
-        pivot_row = k + int(np.argmax(np.abs(M[k:, k])))
-        if M[pivot_row, k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            M[[k, pivot_row]] = M[[pivot_row, k]]
+def _dyadic(a: float) -> tuple[int, int]:
+    """(m, x) with a = m 2^x and m odd, for a finite non-zero float a."""
+    num, den = a.as_integer_ratio()
+    zeros = (num & -num).bit_length() - 1
+    return num >> zeros, zeros + 1 - den.bit_length()
+
+
+def _minor_row(b: list[int], m: int, width: int) -> list[int]:
+    """Row m of the Routh array from its definition: entry j is the minor of
+    the Hurwitz matrix of b on rows 1..m and columns 1..m-1 and m+j. The
+    entries differ in their last column only, so one fraction-free
+    elimination, with a search for a non-zero pivot, serves the whole row."""
+    n = len(b) - 1
+    M = [[b[2 * c - i + 1] if 0 <= 2 * c - i + 1 <= n else 0 for c in range(m - 1 + width)]
+         for i in range(m)]
+    sign, prev = 1, 1
+    for k in range(m - 1):
+        pivot = next((r for r in range(k, m) if M[r][k]), None)
+        if pivot is None:
+            return [0] * width
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
-        M[k + 1:, k + 1:] = (M[k, k] * M[k + 1:, k + 1:]
-                             - np.outer(M[k + 1:, k], M[k, k + 1:])) / prev
-        prev = M[k, k]
-    return sign * M[n - 1, n - 1]
+        top = M[k]
+        for i in range(k + 1, m):
+            row = M[i]
+            row[k + 1:] = [(top[k] * row[c] - row[k] * top[c]) // prev
+                           for c in range(k + 1, len(row))]
+        prev = top[k]
+    return [sign * v for v in M[m - 1][m - 1:]]
+
+
+def _scaled_float(value: int, shift: int) -> float:
+    """value 2^shift rounded once to float; +-inf out of float range."""
+    try:
+        return float(value << shift) if shift >= 0 else value / (1 << -shift)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def hurwitz_determinants(p: CharPoly) -> np.ndarray:
-    """Leading principal minors D_1 .. D_n of the Hurwitz matrix. A minor
-    out of float range comes back non-finite (inf or NaN) without a
-    warning; large networks reach that with coefficients near 1e58."""
-    H = hurwitz_matrix(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([_bareiss_determinant(H[:k, :k]) for k in range(1, p.degree + 1)])
+    """Leading principal minors D_1 .. D_n of the Hurwitz matrix, each the
+    exact minor of the float coefficients rounded once; a minor out of float
+    range is +-inf. D_k reads a_0 .. a_(2k-1) only, and is NaN when one of
+    those is not finite.
+
+    The coefficients are dyadic rationals. The substitution lambda = 2^t mu,
+    with t chosen to bring the geometric mean of the non-zero root moduli
+    near 1, and a common power of two turn them into short integers b_k;
+    D_k(a) = 2^(t k(k+1)/2 + low k) D_k(b). The fraction-free Routh array
+    over the b_k has the minors D_k(b) as its first column:
+        s_0 = (b_0, b_2, ...), s_1 = (b_1, b_3, ...),
+        s_m[j] = (s_(m-1)[0] s_(m-2)[j+1] - s_(m-2)[0] s_(m-1)[j+1]) / d_m,
+    with d_2 = d_3 = 1 and d_m = s_(m-3)[0], each division exact by
+    Sylvester's identity. A row with d_m = 0 comes from its definition. A
+    zero row after a non-zero first entry makes rows 1..m of the Hurwitz
+    matrix dependent, so every later minor is 0."""
+    a = p.coefficients.tolist()
+    n = p.degree
+    minors = np.full(n, np.nan)
+    bad = next((k for k, v in enumerate(a) if not math.isfinite(v)), n + 1)
+    count = n if bad > n else bad // 2
+    if count == 0:
+        return minors
+    terms = {k: _dyadic(a[k]) for k in range(min(2 * count, n + 1)) if a[k] != 0.0}
+    last = max(terms)
+    t = round(math.log2(abs(a[last])) / last) if last else 0
+    low = min(x - t * k for k, (_, x) in terms.items())
+    b = [0] * (n + 1)
+    for k, (m, x) in terms.items():
+        b[k] = m << (x - t * k - low)
+    rows = [b[0::2] + [0], b[1::2] + [0]]
+    while len(rows) <= count and (any(rows[-1]) or not rows[-2][0]):
+        m = len(rows)
+        width = (n - m) // 2 + 1
+        d = rows[m - 3][0] if m > 3 else 1
+        if d:
+            s2, s1 = rows[m - 2], rows[m - 1]
+            row = [(s1[0] * s2[j + 1] - s2[0] * s1[j + 1]) // d for j in range(width)]
+        else:
+            row = _minor_row(b, m, width)
+        rows.append(row + [0])
+    first = [row[0] for row in rows[1:]] + [0] * (count + 1 - len(rows))
+    for k, value in enumerate(first, start=1):
+        minors[k - 1] = _scaled_float(value, k * low + t * k * (k + 1) // 2)
+    return minors
 
 
 def is_hurwitz_stable(p: CharPoly) -> bool:

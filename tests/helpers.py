@@ -1,12 +1,13 @@
 """Shared test oracles: finite differences (also of the KCC pieces of a
 plain second-order G), complex multiset matching, the dense second-order
-dual-number interpreter that the compiled expression kernels replaced, and
-closed forms of the deviation tensor, kept as references to compare the
-library against."""
+dual-number interpreter that the compiled expression kernels replaced,
+Hurwitz minors in exact rational arithmetic, and closed forms of the
+deviation tensor, kept as references to compare the library against."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -279,9 +280,10 @@ class DualScalar:
         if self.value == 0.0:
             raise DomainError("square root derivative singular at zero")
         s = math.sqrt(self.value)
-        if s * self.value == 0.0:
+        sv = s * self.value
+        if sv == 0.0 or not math.isfinite(-0.25 / sv):
             raise DomainError("square root curvature out of range near zero")
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.value))
+        return self._chain(s, 0.5 / s, -0.25 / sv)
 
     def __abs__(self) -> "DualScalar":
         # sign(0) taken as 0; abs is treated as flat across the kink
@@ -418,30 +420,50 @@ def oracle_derivatives(expr, point):
 
 
 # ---------------------------------------------------------------------------
-# Reference Bareiss elimination: the row-by-row update that the library's
-# block update replaced
+# Hurwitz minors from their definition, in exact rational arithmetic
 
 
-def bareiss_rows(M) -> float:
-    """Fraction-free elimination with partial pivoting, one row at a time."""
-    M = np.array(M, dtype=float)
-    n = M.shape[0]
-    if n == 0:
-        return 1.0
-    sign = 1.0
-    prev = 1.0
-    for k in range(n - 1):
-        pivot_row = k + int(np.argmax(np.abs(M[k:, k])))
-        if M[pivot_row, k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            M[[k, pivot_row]] = M[[pivot_row, k]]
-            sign = -sign
+def _fraction_determinant(M: list[list[Fraction]]) -> Fraction:
+    """Gaussian elimination over the rationals, with a non-zero pivot search."""
+    M = [row[:] for row in M]
+    n = len(M)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
+            det = -det
+        det *= M[k][k]
         for i in range(k + 1, n):
-            M[i, k + 1:] = (M[k, k] * M[i, k + 1:] - M[i, k] * M[k, k + 1:]) / prev
-            M[i, k] = 0.0
-        prev = M[k, k]
-    return sign * M[n - 1, n - 1]
+            if M[i][k] != 0:
+                factor = M[i][k] / M[k][k]
+                for c in range(k + 1, n):
+                    M[i][c] -= factor * M[k][c]
+    return det
+
+
+def hurwitz_minors_exact(coeffs) -> list[float]:
+    """D_1 .. D_n of the Hurwitz matrix H[i][j] = a_(2j-i) (1-based), one
+    elimination per minor over the exact values of the float coefficients,
+    then float(); +-inf when out of float range, NaN when a coefficient the
+    minor reads (a_0 .. a_(2k-1)) is not finite."""
+    a = [float(v) for v in coeffs]
+    n = len(a) - 1
+    minors = []
+    for k in range(1, n + 1):
+        if not all(math.isfinite(v) for v in a[:min(2 * k - 1, n) + 1]):
+            minors.append(math.nan)
+            continue
+        H = [[Fraction(a[2 * j - i]) if 0 <= 2 * j - i <= n else Fraction(0)
+              for j in range(1, k + 1)] for i in range(1, k + 1)]
+        det = _fraction_determinant(H)
+        try:
+            minors.append(float(det))
+        except OverflowError:
+            minors.append(math.inf if det > 0 else -math.inf)
+    return minors
 
 
 # ---------------------------------------------------------------------------

@@ -256,29 +256,32 @@ class TestAnalyze:
         assert math.copysign(1.0, origin["jacobian"][0][1]) == -1.0
 
     def test_json_strict_when_hurwitz_overflows(self, tmp_path, capsys):
-        # The Hurwitz minors of a complete graph on 20 nodes leave float
-        # range; they print as null, not as NaN, and nothing warns.
-        n = 20
-        graph = tmp_path / "complete.txt"
-        graph.write_text(f"{n}\n" + "".join(
-            f"{i} {j}\n" for i, j in itertools.combinations(range(n), 2)))
-        path = tmp_path / "net.ini"
-        path.write_text(
-            "[system]\nname = complete\nmodel = network\n"
-            f"graph = {graph}\nevolution = u - u^3\ncoupling = sin(u)\nsigma = 0.8\n"
-            "[search]\nseeds = " + ",".join(["0"] * n) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
-        assert code == EXIT_OK
+        # At the origin of a complete graph on 40 nodes, 24 of the exact
+        # Hurwitz minors leave float range; they print as null, not as NaN
+        # or Infinity, and nothing warns. On 20 nodes every minor is in range.
+        def hurwitz(n):
+            graph = tmp_path / f"complete{n}.txt"
+            graph.write_text(f"{n}\n" + "".join(
+                f"{i} {j}\n" for i, j in itertools.combinations(range(n), 2)))
+            path = tmp_path / f"net{n}.ini"
+            path.write_text(
+                "[system]\nname = complete\nmodel = network\n"
+                f"graph = {graph}\nevolution = u - u^3\ncoupling = sin(u)\nsigma = 0.8\n"
+                "[search]\nseeds = " + ",".join(["0"] * n) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+            assert code == EXIT_OK
 
-        def reject(token):
-            raise AssertionError(f"non-JSON constant {token}")
+            def reject(token):
+                raise AssertionError(f"non-JSON constant {token}")
 
-        payload = json.loads(out, parse_constant=reject)
-        hurwitz = payload["fixed_points"][0]["hurwitz"]
-        assert None in hurwitz
-        assert all(v is None or math.isfinite(v) for v in hurwitz)
+            return json.loads(out, parse_constant=reject)["fixed_points"][0]["hurwitz"]
+
+        minors = hurwitz(40)
+        assert minors.count(None) == 24
+        assert all(v is None or math.isfinite(v) for v in minors)
+        assert all(v is not None and math.isfinite(v) for v in hurwitz(20))
 
     def test_json_strict_when_charpoly_overflows(self, tmp_path, capsys):
         # det A = -2^1098 leaves float range; the eigenvalues are exact.

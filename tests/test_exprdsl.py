@@ -263,6 +263,21 @@ class TestDerivatives:
             oracle_derivatives(expr, [5e-324])
         assert info.value.reason == "square root curvature out of range near zero"
 
+    @pytest.mark.parametrize("v", [2e-216, 1.2e-206])
+    def test_sqrt_curvature_overflow_raises(self, v):
+        # s * v is subnormal but not 0, and -0.25 / (s * v) overflows to -inf
+        expr = parse("sqrt(x)", ["x"])
+        for derivatives in (expr.with_derivatives, lambda p: oracle_derivatives(expr, p)):
+            with pytest.raises(DomainError) as info:
+                derivatives([v])
+            assert info.value.reason == "square root curvature out of range near zero"
+
+    def test_sqrt_curvature_finite_just_above_overflow(self):
+        expr = parse("sqrt(x)", ["x"])
+        _, _, hess = expr.with_derivatives([1.3e-206])
+        assert np.isfinite(hess).all()
+        assert hess[0, 0] == oracle_derivatives(expr, [1.3e-206])[2][0, 0]
+
 
 class TestCompiledDerivatives:
     def test_constant_blocks_stay_zero(self):
@@ -412,7 +427,7 @@ def _constant_exponents(root) -> bool:
 
 # Failures that only the derivative kernel can meet: the slope of sqrt at
 # 0, a derivative term of a power, and the curvature -0.25 / (s * v) of
-# sqrt(v) when s * v underflows to zero.
+# sqrt(v) when s * v underflows to zero or the quotient overflows.
 _DERIVATIVE_ONLY = {
     ("domain", "square root derivative singular at zero"),
     ("domain", "zero base with negative exponent"),

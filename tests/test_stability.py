@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 
 from kccdyn import stability
 from kccdyn.exprdsl import BinOp, Expression, Num, Var
-from kccdyn.models import lcdm_system
-from kccdyn.odesys import VectorField
+from kccdyn.models import AdjacencyGraph, NetworkSpec, lcdm_system, network_system
+from kccdyn.odesys import VectorField, jacobian
 from kccdyn.stability import (
     CharPoly,
     NotAFixedPointError,
     RootConvergenceError,
-    _bareiss_determinant,
     analyze_fixed_point,
     characteristic_polynomial,
     descartes_bound,
@@ -26,7 +26,7 @@ from kccdyn.stability import (
     lyapunov_classify,
 )
 
-from helpers import assert_complex_multisets_close, bareiss_rows
+from helpers import assert_complex_multisets_close, hurwitz_minors_exact
 
 
 def _poly(*coeffs):
@@ -177,28 +177,37 @@ class TestHurwitz:
             assert is_hurwitz_stable(CharPoly(coeffs)) == truth
 
 
-def _same_bits(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+def _same_floats(got, expected) -> bool:
+    """Equal to the bit: the sign of a zero counts, and NaN matches NaN."""
+    return [repr(float(v)) for v in got] == [repr(float(v)) for v in expected]
 
 
-class TestBareissBlockUpdate:
-    """The block update against the row loop it replaced (tests/helpers.py):
-    the same float operations per entry, so the same bits."""
+_DYADIC = st.one_of(
+    st.just(0.0),
+    st.integers(-4, 4).map(float),
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1), st.integers(-80, 80)),
+)
 
-    def test_random_matrices(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(1, 13))
-            M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
-            assert _same_bits(_bareiss_determinant(M), bareiss_rows(M))
 
-    def test_sparse_integer_matrices(self):
-        # many zero pivots, row swaps and exact cancellations
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            M = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.5)
-            assert _same_bits(_bareiss_determinant(M), bareiss_rows(M))
+@st.composite
+def _sparse_polynomials(draw):
+    """Integer and dyadic coefficients, biased towards exact zeros: every odd
+    coefficient, a_1 alone, or one interior coefficient."""
+    n = draw(st.integers(1, 10))
+    coeffs = [1.0] + draw(st.lists(_DYADIC, min_size=n, max_size=n))
+    zeros = draw(st.sampled_from(["odd", "a1", "interior", "drawn"]))
+    if zeros == "odd":
+        coeffs[1::2] = [0.0] * len(coeffs[1::2])
+    elif zeros == "a1":
+        coeffs[1] = 0.0
+    elif zeros == "interior" and n >= 2:
+        coeffs[draw(st.integers(1, n - 1))] = 0.0
+    return coeffs
+
+
+class TestHurwitzExact:
+    """The Routh pass against one exact rational elimination per minor
+    (tests/helpers.py): the same correctly rounded floats."""
 
     @pytest.mark.parametrize("coeffs", [
         (1, 0, 2, 0, 1),            # D1 = a1 = 0: zero pivot at once
@@ -206,21 +215,41 @@ class TestBareissBlockUpdate:
         (1, 2, 4, 8, 16, 32),       # singular minors from proportional rows
         (1, 0, 0, 0, 0, 0, 0, 1),
         (1, -3, 0, 2, 0, -1e-300, 5),
+        (1, 0, 5, 0, 4),            # odd coefficients 0: row 1 of H is zero
     ])
-    def test_hurwitz_minors_with_zero_pivots(self, coeffs):
-        H = hurwitz_matrix(_poly(*coeffs))
-        minors = hurwitz_determinants(_poly(*coeffs))
-        for k in range(1, H.shape[0] + 1):
-            assert _same_bits(minors[k - 1], bareiss_rows(H[:k, :k]))
+    def test_minors_with_zero_pivots(self, coeffs):
+        assert _same_floats(hurwitz_determinants(_poly(*coeffs)), hurwitz_minors_exact(coeffs))
 
-    def test_random_hurwitz_minors(self):
+    def test_random_real_polynomials(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             coeffs, _ = _random_real_polynomial(rng, max_degree=10)
-            H = hurwitz_matrix(CharPoly(coeffs))
-            minors = hurwitz_determinants(CharPoly(coeffs))
-            for k in range(1, H.shape[0] + 1):
-                assert _same_bits(minors[k - 1], bareiss_rows(H[:k, :k]))
+            assert _same_floats(hurwitz_determinants(CharPoly(coeffs)),
+                                hurwitz_minors_exact(coeffs)), coeffs
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sparse_polynomials())
+    def test_integer_and_dyadic_polynomials(self, coeffs):
+        assert _same_floats(hurwitz_determinants(CharPoly(coeffs)), hurwitz_minors_exact(coeffs))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("kind", ["ring", "path", "complete"])
+    def test_network_origins(self, kind, n):
+        # the origin of u - u^3 coupled by sin(u) with sigma = 0.8
+        edges = {"ring": [(i, (i + 1) % n) for i in range(n)],
+                 "path": [(i, i + 1) for i in range(n - 1)],
+                 "complete": list(itertools.combinations(range(n), 2))}[kind]
+        spec = NetworkSpec.uniform(AdjacencyGraph.from_edges(n, edges), "u - u^3", "sin(u)", 0.8)
+        p = characteristic_polynomial(jacobian(network_system(spec), np.zeros(n)))
+        assert _same_floats(hurwitz_determinants(p), hurwitz_minors_exact(p.coefficients))
+
+    def test_out_of_range_and_non_finite(self):
+        # D_2 = -2^1200 - 1 and D_3 = D_2 leave float range, with their sign;
+        # below, D_2 and D_3 read a_3 = inf
+        assert _same_floats(hurwitz_determinants(_poly(1, 2.0 ** 600, -2.0 ** 600, 1)),
+                            [2.0 ** 600, -math.inf, -math.inf])
+        assert _same_floats(hurwitz_determinants(_poly(1, 3, 2, math.inf)),
+                            [3.0, math.nan, math.nan])
 
 
 def _random_real_polynomial(rng, max_degree=6):
