@@ -1,8 +1,8 @@
 """Compilation of expressions into straight-line Python kernels.
 
-exprdsl and odesys import this module on first evaluation and cache the
-result on each expression. It builds two functions of the point p, a list
-of floats:
+exprdsl imports this module on the first evaluation of an expression and
+caches the result on it. It builds two functions of the point p, a
+sequence of floats:
 
   value(p)        the value alone;
   derivatives(p)  one flat tuple: the value, the gradient entries for the
@@ -18,21 +18,14 @@ never formed. The value kernel is the same emitter run with no variable
 seeded, so both kernels compute the value by the same float operations.
 Operations on constants fold to literals at compile time through the same
 float arithmetic. Domain checks are emitted in place and raise DomainError
-with the offset and fragment of their operation.
-
-Expressions that are equal up to an order-preserving renaming of their
-variables, like the components of a network whose nodes all run one law,
-have one shape and share its code. The code reads variable k of the shape
-from p[Ik] and takes the fragment of the node at preorder position s from
-Fs; each expression gets its own function objects around the shared code,
-whose globals hold its variable indices and its fragments.
+with the offset and fragment of their operation. Variable k is read from
+p[k], and each fragment is a literal of the code.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -69,7 +62,7 @@ class _Jet(NamedTuple):
     """Second-order Taylor coefficients of one sub-expression."""
 
     value: _Atom
-    grad: dict    # variable rank -> atom, for the variables mentioned
+    grad: dict    # variable index -> atom, for the variables mentioned
     hess: dict    # (i, j) with i <= j -> atom; absent entries are zero
 
 
@@ -83,18 +76,11 @@ class _Emitter:
 
     Unless `seeded`, no variable carries a gradient, so only the value
     statements are emitted, and the checks that only derivatives need are
-    left out: that is the value kernel.
+    left out: that is the value kernel. `variables` names the expression's
+    variables in the fragments that its domain errors carry."""
 
-    `rank` maps each variable index to its place among the variables the
-    expression mentions; `sites` maps each node (by id) to its preorder
-    position, and `raised` collects the positions whose fragments the code
-    reads."""
-
-    def __init__(self, rank: dict[int, int], sites: dict[int, int], raised: set[int],
-                 seeded: bool):
-        self.rank = rank
-        self.sites = sites
-        self.raised = raised
+    def __init__(self, variables: Sequence[str], seeded: bool):
+        self.variables = variables
         self.seeded = seeded
         self.lines: list[str] = []
         self.memo: dict[str, str] = {}
@@ -128,14 +114,9 @@ class _Emitter:
             self.lines.append(f"{self.memo[text]} = {text}")
         return self.memo[text]
 
-    def fragment(self, node: Node) -> str:
-        """The global that holds the rendered text of `node`."""
-        site = self.sites[id(node)]
-        self.raised.add(site)
-        return f"F{site}"
-
     def error(self, node: Node, reason: str) -> str:
-        return f"raise DomainError({reason!r}, {node.offset!r}, {self.fragment(node)})"
+        fragment = _render(node, self.variables, 0)
+        return f"raise DomainError({reason!r}, {node.offset!r}, {fragment!r})"
 
     def check(self, node: Node, atom: _Atom, compare: str, reason: str,
               bound: float = 0.0) -> None:
@@ -192,8 +173,8 @@ class _Emitter:
         if isinstance(node, Num):
             return _Jet(float(node.value), {}, {})
         if isinstance(node, Var):
-            rank = self.rank[node.index]
-            return _Jet(f"x{rank}", {rank: 1.0} if self.seeded else {}, {})
+            k = node.index
+            return _Jet(f"x{k}", {k: 1.0} if self.seeded else {}, {})
         if isinstance(node, Neg):
             u = self.jet(node.operand)
             return _Jet(self.neg(u.value), {k: self.neg(g) for k, g in u.grad.items()},
@@ -360,20 +341,6 @@ class _Kernels(NamedTuple):
     source: np.ndarray  # their values in the tuple
 
 
-class _Shape(NamedTuple):
-    """Compiled code of one shape, with deps, rows and cols as in _Kernels
-    but holding variable ranks."""
-
-    value: CodeType
-    derivatives: CodeType
-    sites: tuple[int, ...]  # preorder positions of the fragments it raises
-    width: int
-    deps: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    source: np.ndarray
-
-
 def _function(name: str, header: list[str], emitter: _Emitter, root: Node, returned):
     """Source of `def name(p)` and the jet of `root` emitted for it, None
     when every call raises."""
@@ -391,34 +358,19 @@ def _flat(jet: _Jet) -> list[_Atom]:
             + [jet.hess[k] for k in sorted(jet.hess)])
 
 
-def _token(node: Node, rank: dict[int, int]) -> tuple:
-    """One node of a shape key. Literals compare by repr, so 0.0 and -0.0
-    differ."""
-    if isinstance(node, Num):
-        return "num", repr(float(node.value)), node.offset
-    if isinstance(node, Var):
-        return "var", rank[node.index], node.offset
-    if isinstance(node, Neg):
-        return "neg", node.offset
-    if isinstance(node, Call):
-        return "call", node.func, node.offset
-    return "op", node.op, node.offset
-
-
-def _compile_shape(nodes: list[Node], rank: dict[int, int]) -> _Shape:
-    """Code for the tree whose preorder is `nodes`."""
-    root = nodes[0]
-    header = [f"x{r} = p[I{r}]" for r in range(len(rank))]
-    sites = {id(node): k for k, node in enumerate(nodes)}
-    raised: set[int] = set()
-    values = _Emitter(rank, sites, raised, seeded=False)
-    jets = _Emitter(rank, sites, raised, seeded=True)
+def compile_expression(expr: Expression) -> _Kernels:
+    """The value and derivative kernels of one expression."""
+    root = expr.root
+    used = sorted({node.index for node in _walk(root) if isinstance(node, Var)})
+    header = [f"x{k} = p[{k}]" for k in used]
+    values = _Emitter(expr.variables, seeded=False)
+    jets = _Emitter(expr.variables, seeded=True)
     value_source, _ = _function("value", header, values, root,
                                 lambda top: values.ref(top.value))
     jet_source, jet = _function("derivatives", header, jets, root,
                                 lambda top: "".join(f"{jets.ref(a)}, " for a in _flat(top)))
-    module = compile(value_source + jet_source, "<kccdyn expression>", "exec")
-    code = {c.co_name: c for c in module.co_consts if isinstance(c, CodeType)}
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(value_source + jet_source, "<kccdyn expression>", "exec"), namespace)
 
     jet = jet or _Jet(0.0, {}, {})
     first = 1 + len(jet.grad)
@@ -427,39 +379,7 @@ def _compile_shape(nodes: list[Node], rank: dict[int, int]) -> _Shape:
     j = np.array([b for _, b in upper], dtype=np.intp)
     slots = np.arange(first, first + len(upper), dtype=np.intp)
     off = i != j
-    return _Shape(code["value"], code["derivatives"], tuple(sorted(raised)), first + len(upper),
-                  np.array(sorted(jet.grad), dtype=np.intp),
-                  np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
-                  np.concatenate([slots, slots[off]]))
-
-
-def _bind(shape: _Shape, expr: Expression, nodes: list[Node], used: list[int]) -> _Kernels:
-    """The expression's own function objects around its shape's code."""
-    namespace = dict(_KERNEL_GLOBALS)
-    namespace.update((f"I{r}", k) for r, k in enumerate(used))
-    namespace.update((f"F{s}", _render(nodes[s], expr.variables, 0)) for s in shape.sites)
-    index = np.array(used, dtype=np.intp)
-    return _Kernels(FunctionType(shape.value, namespace),
-                    FunctionType(shape.derivatives, namespace), shape.width,
-                    index[shape.deps], index[shape.rows], index[shape.cols], shape.source)
-
-
-def compile_expressions(exprs: Sequence[Expression]) -> tuple[_Kernels, ...]:
-    """Kernels of each expression, cached on it; an expression that already
-    holds kernels keeps them. Each distinct shape among the others compiles
-    once. The shape table lives only for this call, so every caller that
-    builds new expressions pays for their shapes again."""
-    shapes: dict[tuple, _Shape] = {}
-    kernels = []
-    for expr in exprs:
-        cache = vars(expr)
-        if "_kernels" not in cache:
-            nodes = list(_walk(expr.root))
-            used = sorted({node.index for node in nodes if isinstance(node, Var)})
-            rank = {k: r for r, k in enumerate(used)}
-            key = tuple(_token(node, rank) for node in nodes)
-            if key not in shapes:
-                shapes[key] = _compile_shape(nodes, rank)
-            cache.setdefault("_kernels", _bind(shapes[key], expr, nodes, used))
-        kernels.append(cache["_kernels"])
-    return tuple(kernels)
+    return _Kernels(namespace["value"], namespace["derivatives"], first + len(upper),
+                    np.array(sorted(jet.grad), dtype=np.intp),
+                    np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
+                    np.concatenate([slots, slots[off]]))

@@ -13,7 +13,9 @@ through repr so parsing the output recovers each value bit-identically.
 The analyze JSON is strict: a Hurwitz determinant out of float range is
 null.
 Exit codes: 0 success, 1 input error, 2 no fixed point found or none could
-be analysed, 3 integration divergence. Diagnostics go to stderr; set
+be analysed, 3 integration divergence. A `deviate` whose start-point
+spectrum cannot be computed still writes its CSV, and exits 3 if the run
+was truncated, 1 otherwise. Diagnostics go to stderr; set
 KCC_LOG=DEBUG (or any logging level) for more.
 """
 
@@ -388,20 +390,31 @@ def _cmd_deviate(args) -> int:
         run.to_csv(args.out)
         print(f"wrote {run.times.size} samples to {args.out}")
 
-    P = sode.deviation_tensor(x0, y0, 0.0)
-    spectrum = stability.eigenvalues(P)
-    top = max(z.real for z in spectrum)
-    if top < -_ZERO_TOL:
-        verdict = "Jacobi-stable"
-    elif top > _ZERO_TOL:
-        verdict = "Jacobi-unstable"
+    try:
+        # an entry of P out of float range is reported, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = sode.deviation_tensor(x0, y0, 0.0)
+        if not np.all(np.isfinite(P)):
+            raise stability.RootConvergenceError("the deviation tensor has a non-finite entry")
+        spectrum = stability.eigenvalues(P)
+    except stability.RootConvergenceError as err:
+        print(f"deviation tensor spectrum at x0 cannot be computed: {err}", file=sys.stderr)
+        spectrum = None
     else:
-        verdict = "indeterminate"
-    print(f"deviation tensor spectrum at x0: "
-          f"{', '.join(_complex_human(z) for z in spectrum)} -> {verdict}")
+        top = max(z.real for z in spectrum)
+        if top < -_ZERO_TOL:
+            verdict = "Jacobi-stable"
+        elif top > _ZERO_TOL:
+            verdict = "Jacobi-unstable"
+        else:
+            verdict = "indeterminate"
+        print(f"deviation tensor spectrum at x0: "
+              f"{', '.join(_complex_human(z) for z in spectrum)} -> {verdict}")
     if run.truncated:
         print(f"integration truncated: {run.truncation_reason}", file=sys.stderr)
         return EXIT_DIVERGED
+    if spectrum is None:
+        return EXIT_INPUT
     try:
         label = deviation.focusing_diagnostic(run, args.probe)
         print(f"focusing diagnostic at t* = {_human(args.probe)}: {label} "

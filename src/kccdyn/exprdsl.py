@@ -30,7 +30,6 @@ __all__ = [
     "UnknownIdentifierError",
     "Var",
     "parse",
-    "remap_variables",
     "shift_variables",
 ]
 
@@ -135,8 +134,8 @@ class Expression:
 
     Immutable after construction; evaluation is reentrant, so a single
     Expression may be evaluated from many threads at once. The compiled
-    kernels are built on first evaluation, of the expression or of a vector
-    field that holds it, and cached on the instance.
+    kernels are built on first evaluation, of the expression or of a field
+    that holds it, and cached on the instance.
     """
 
     root: Node
@@ -193,8 +192,8 @@ class Expression:
     def _kernels(self):
         # imported on first use, so that importing kccdyn does not pay for
         # loading the code generator
-        from ._codegen import compile_expressions
-        return compile_expressions([self])[0]
+        from ._codegen import compile_expression
+        return compile_expression(self)
 
     def __getstate__(self):
         # compiled functions do not pickle; they are rebuilt on demand
@@ -400,7 +399,7 @@ def _render(node: Node, variables: Sequence[str], min_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# AST rewrites used by model construction
+# AST rewrite used by the fixed-point translation
 
 
 def _transform(node: Node, fn) -> Node:
@@ -431,13 +430,3 @@ def shift_variables(expr: Expression, offsets) -> Expression:
 
     return Expression(root=_transform(expr.root, rewrite), variables=expr.variables)
 
-
-def remap_variables(expr: Expression, variables: Sequence[str], index_map) -> Expression:
-    """Rebase the expression onto a new variable list; old index i becomes
-    index_map[i]."""
-    names = tuple(variables)
-
-    def rewrite(var: Var) -> Node:
-        return Var(int(index_map[var.index]))
-
-    return Expression(root=_transform(expr.root, rewrite), variables=names)

@@ -22,9 +22,10 @@ y = 0.
 Derivatives are exact (compiled forward-mode kernels) for both kinds of
 system; a lifted system reads J and the Hessian-vector product H y for the
 deviation integrator straight from those kernels. The higher invariants
-apply one central-difference layer in y, with step
-cbrt(eps) * max(1, |coordinate|), on top of the exact P; their "vanishes"
-tolerance is 1e-8 absolute.
+apply central differences in y, with step cbrt(eps) * max(1, |coordinate|),
+on top of exact quantities: P3 and the Douglas tensor one layer (none for
+P3 of a lift, whose dP/dy is exact), and P4, which differences P3, one
+more. Their "vanishes" tolerance is 1e-8 absolute.
 """
 
 from __future__ import annotations
@@ -277,8 +278,8 @@ class _ExpressionSode(Sode):
 
     def _p_y(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         """dP/dy assembled term by term from exact second derivatives; only
-        the third derivatives of G take one central-difference layer. This
-        avoids stacking two difference layers when P4 differentiates P3."""
+        the third derivatives of G take one central-difference layer. P4,
+        which differentiates P3, stacks a second."""
         n = self.dimension
         pieces = self._pieces(x, y, t)
         gx_y = np.empty((n, n, n))  # d2 G_i / dx_j dy_k

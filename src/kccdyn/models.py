@@ -9,28 +9,31 @@ parameter variables x (radiation) and y (constant term):
 with fixed points (0,1) (late-time attractor), (1,0) (radiation source),
 and (0,0) (matter saddle).
 
-Coupled networks evolve one scalar state per node:
+Coupled networks evolve one scalar state per node under one node law:
 
-    dx_i/dt = F_i(x) - sigma sum_r L_ir H_r(x)
+    dx_i/dt = F(x_i) - sigma sum_r L_ir H(x_r)
 
-with L the graph Laplacian (degree on the diagonal, -1 across edges). The
-assembled field is an ordinary VectorField, so the whole stability pipeline
-applies unchanged.
+with L the graph Laplacian (degree on the diagonal, -1 across edges). A
+NetworkField evaluates that law from the compiled kernels of F and H; the
+odesys functions evaluate it like any VectorField, so the whole stability
+pipeline applies unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .exprdsl import BinOp, Expression, Num, parse, remap_variables, shift_variables
-from .odesys import VectorField
+from .exprdsl import DomainError, Expression, parse, shift_variables
+from .odesys import FieldDomainError, VectorField
 
 __all__ = [
     "AdjacencyGraph",
     "BuiltinModel",
+    "NetworkField",
     "NetworkSpec",
     "builtin_models",
     "harmonic_system",
@@ -120,72 +123,157 @@ def read_graph(path) -> AdjacencyGraph:
         return parse_graph(handle.read())
 
 
-def _node_variables(count: int, prefix: str = "x") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i + 1}" for i in range(count))
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Evolution F_i and coupling H_r, one expression per node, over the
-    N shared node-state variables, plus the coupling constant sigma."""
+    """The node law: evolution F and coupling H, each a template over one
+    variable that stands for a node's own state, on a graph, with the
+    coupling constant sigma."""
 
     graph: AdjacencyGraph
-    evolution: tuple[Expression, ...]
-    coupling: tuple[Expression, ...]
+    evolution: Expression
+    coupling: Expression
     sigma: float
 
     def __post_init__(self):
-        N = self.graph.node_count
-        object.__setattr__(self, "evolution", tuple(self.evolution))
-        object.__setattr__(self, "coupling", tuple(self.coupling))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if len(self.evolution) != N or len(self.coupling) != N:
-            raise ValueError(
-                f"need {N} evolution and coupling expressions, got "
-                f"{len(self.evolution)} and {len(self.coupling)}")
-        names = self.variables
-        for expr in self.evolution + self.coupling:
-            if expr.variables != names:
-                raise ValueError(
-                    f"expression variables {expr.variables} do not match {names}")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.evolution[0].variables if self.evolution else ()
+        for role, template in (("evolution", self.evolution), ("coupling", self.coupling)):
+            if not isinstance(template, Expression) or len(template.variables) != 1:
+                raise ValueError(f"the {role} must be an expression over one node variable")
 
     @classmethod
     def uniform(cls, graph: AdjacencyGraph, evolution: str, coupling: str,
                 sigma: float, node_var: str = "u") -> "NetworkSpec":
-        """Same per-node law everywhere: the templates are expressions over
-        the single variable node_var, meaning each node's own state."""
-        names = _node_variables(graph.node_count)
-        f_template = parse(evolution, [node_var])
-        h_template = parse(coupling, [node_var])
-        evolution_exprs = tuple(
-            remap_variables(f_template, names, {0: i}) for i in range(graph.node_count))
-        coupling_exprs = tuple(
-            remap_variables(h_template, names, {0: i}) for i in range(graph.node_count))
-        return cls(graph=graph, evolution=evolution_exprs,
-                   coupling=coupling_exprs, sigma=sigma)
+        """The templates parsed from text over the single variable node_var."""
+        return cls(graph=graph, evolution=parse(evolution, [node_var]),
+                   coupling=parse(coupling, [node_var]), sigma=sigma)
 
 
-def network_system(spec: NetworkSpec, name: str = "network") -> VectorField:
-    """Assemble component i = F_i(x) - sigma sum_r L_ir H_r(x) as a plain
-    VectorField. Zero coefficients contribute no AST term, so the sigma = 0
-    limit is exactly the uncoupled field."""
-    L = laplacian(spec.graph)
-    names = spec.variables
-    components = []
-    for i in range(spec.graph.node_count):
-        root = spec.evolution[i].root
-        for r in range(spec.graph.node_count):
-            weight = spec.sigma * L[i, r]
-            if weight == 0.0:
-                continue
-            term = BinOp("*", Num(weight), spec.coupling[r].root)
-            root = BinOp("-", root, term)
-        components.append(Expression(root=root, variables=names))
-    return VectorField(components=tuple(components), name=name)
+class _Plan(NamedTuple):
+    """The terms w H(x_r) of the coupling sums, w = sigma L_ir != 0, row by
+    row with r ascending; and where the templates' slopes and curvatures lie
+    in their derivative kernel outputs laid end to end."""
+
+    weights: np.ndarray     # w of each term
+    flat: np.ndarray        # i * n + r of each term
+    source: np.ndarray      # place of each term's node in coupled
+    coupled: list           # the nodes some term reads, ascending
+    mine: np.ndarray        # the terms with r = i
+    levels: tuple           # per k, (i, term) of the k-th term of each row
+    slices: tuple           # F's slope and curvature, then H's; None if zero
+    curved: np.ndarray      # i * n + r of each diagonal Hessian entry
+
+
+@dataclass(frozen=True)
+class NetworkField:
+    """The field of a NetworkSpec from the kernels of its two templates:
+    f_i = ((F(x_i) - w_1 H(x_r1)) - w_2 H(x_r2)) - ... over the terms of
+    row i, the float arithmetic of that sum as an expression tree, domain
+    errors included. Each component's Hessian is diagonal, so J and the
+    Hessian entries scatter per-node slopes and curvatures; a structurally
+    zero entry is +0.0. Immutable; evaluation is reentrant."""
+
+    spec: NetworkSpec
+    name: str = "network"
+
+    @property
+    def dimension(self) -> int:
+        return self.spec.graph.node_count
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        n = self.dimension
+        weights = self.spec.sigma * laplacian(self.spec.graph)
+        comps, nodes = np.nonzero(weights)
+        coupled, source = np.unique(nodes, return_inverse=True)
+        rank = np.arange(len(comps)) - np.searchsorted(comps, comps)
+        levels = tuple((comps[rank == k], np.flatnonzero(rank == k))
+                       for k in range(int(rank.max(initial=-1)) + 1))
+        F, H = self.spec.evolution._kernels, self.spec.coupling._kernels
+        slices = []
+        for kernels, start, count in ((F, 0, n), (H, n * F.width, len(coupled))):
+            width, stop = kernels.width, start + count * kernels.width
+            slices += [slice(start + 1, stop, width) if len(kernels.deps) else None,
+                       slice(start + int(kernels.source[0]), stop, width)
+                       if len(kernels.source) else None]
+        curved = np.zeros(n * n, dtype=bool)
+        curved[comps * n + nodes] = slices[3] is not None
+        curved[::n + 1] |= slices[1] is not None
+        return _Plan(weights[comps, nodes], comps * n + nodes, source, coupled.tolist(),
+                     np.flatnonzero(comps == nodes), levels, tuple(slices),
+                     np.flatnonzero(curved))
+
+    def _per_node(self, kernel: str, point: list) -> list:
+        """One kernel's outputs laid end to end: F's at every node, then
+        H's at every coupled node. A domain error is raised for the first
+        component whose sum fails: F(x_i) before H(x_r), r ascending."""
+        F = getattr(self.spec.evolution._kernels, kernel)
+        H = getattr(self.spec.coupling._kernels, kernel)
+        plan = self._plan
+        out = []
+        add = out.append if kernel == "value" else out.extend
+        try:
+            for v in point:
+                add(F((v,)))
+            for r in plan.coupled:
+                add(H((point[r],)))
+        except DomainError:
+            n = self.dimension
+            for i in range(n):
+                for fn, r in [(F, i)] + [(H, r) for r in plan.flat[plan.flat // n == i] % n]:
+                    try:
+                        fn((point[r],))
+                    except DomainError as err:
+                        raise FieldDomainError(i, err) from err
+            raise
+        return out
+
+    def _scatter(self, own, coupled) -> np.ndarray:
+        """(n, n): entry (i, r) is d/dx_r of the terms of component i, from
+        the per-node derivatives of F and H, None if structurally zero."""
+        plan = self._plan
+        n = self.dimension
+        out = np.zeros(n * n)
+        if coupled is not None:
+            terms = plan.weights * coupled[plan.source]
+            out[plan.flat] = -terms
+        if own is not None:
+            out[::n + 1] = own
+            if coupled is not None:
+                out[plan.flat[plan.mine]] -= terms[plan.mine]
+        return out.reshape(n, n)
+
+    def _jets(self, x: np.ndarray) -> list:
+        """Slopes and curvatures of F at every node, then of H at every
+        coupled node; None where structurally zero."""
+        flat = np.array(self._per_node("derivatives", x.tolist()))
+        return [None if k is None else flat[k] for k in self._plan.slices]
+
+    def _values(self, point: list) -> np.ndarray:
+        plan = self._plan
+        flat = np.array(self._per_node("value", point))
+        out = flat[:self.dimension]
+        terms = plan.weights * flat[self.dimension:][plan.source]
+        for comps, sel in plan.levels:
+            out[comps] -= terms[sel]
+        return out
+
+    def _jacobian(self, x: np.ndarray) -> np.ndarray:
+        f1, _, h1, _ = self._jets(x)
+        return self._scatter(f1, h1)
+
+    def _hessian(self, x: np.ndarray):
+        f1, f2, h1, h2 = self._jets(x)
+        curved = self._plan.curved
+        n = self.dimension
+        return (self._scatter(f1, h1), curved, curved % n,
+                self._scatter(f2, h2).reshape(n * n)[curved])
+
+
+def network_system(spec: NetworkSpec, name: str = "network") -> NetworkField:
+    """The field with component i = F(x_i) - sigma sum_r L_ir H(x_r). Zero
+    weights contribute no term, so the sigma = 0 limit is exactly the
+    uncoupled field."""
+    return NetworkField(spec, name)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +286,8 @@ def translate_to_origin(vf: VectorField, x_star) -> VectorField:
     Fixed points move by -x*; Jacobians at corresponding points, and hence
     both stability classifications, are unchanged.
     """
+    if isinstance(vf, NetworkField):
+        raise ValueError("a network field holds its node law, not expressions to translate")
     shift = np.asarray(x_star, dtype=float)
     if shift.shape != (vf.dimension,):
         raise ValueError(f"shift has shape {shift.shape}, expected ({vf.dimension},)")

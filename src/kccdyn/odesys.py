@@ -1,12 +1,15 @@
 """Autonomous first-order systems dx/dt = f(x) with exact derivatives.
 
-A VectorField bundles n expressions over n shared variables. Jacobian and
-Hessian entries come from the compiled forward-mode kernels in exprdsl, so
-they are exact and every Hessian is symmetric by construction. Every array
-is read from the flat kernel outputs through one per-field index layout
-(_Layout).
-A field compiles its components together, each distinct shape once (see
-_codegen): the components of a network differ only by variable renaming.
+The functions here evaluate any field: a VectorField of n expressions over
+n shared variables, or a network's models.NetworkField, which evaluates its
+node law. A field has a dimension n and three methods: _values(point) at a
+list of floats, _jacobian(x), and _hessian(x), which returns the Jacobian
+and the Hessian entries (target, column, entries): d2 f_i/dx_j dx_k is
+entries[e] for the one e with target[e] = i * n + j and column[e] = k, each
+target's e in ascending k, or zero if there is none. Both come from the
+compiled forward-mode kernels in exprdsl, so they are exact and every
+Hessian is symmetric by construction. A VectorField reads them from its
+components' flat kernel outputs through one index layout (_Layout).
 """
 
 from __future__ import annotations
@@ -77,9 +80,7 @@ class VectorField:
 
     @cached_property
     def _kernels(self) -> tuple:
-        # imported on first use, like Expression._kernels
-        from ._codegen import compile_expressions
-        return compile_expressions(self.components)
+        return tuple(comp._kernels for comp in self.components)
 
     @cached_property
     def _layout(self) -> "_Layout":
@@ -89,62 +90,87 @@ class VectorField:
         # compiled functions do not pickle; they are rebuilt on demand
         return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
+    def _outputs(self, kernel: str, point: list) -> list:
+        """One kernel of every component at point; derivative outputs are
+        laid end to end after a zero slot, as _Layout describes."""
+        out = [] if kernel == "value" else [0.0]
+        add = out.append if kernel == "value" else out.extend
+        for k, kernels in enumerate(self._kernels):
+            try:
+                add(getattr(kernels, kernel)(point))
+            except DomainError as err:
+                raise FieldDomainError(k, err) from err
+        return out
 
-def _check_state(vf: VectorField, x) -> np.ndarray:
+    def _values(self, point: list) -> np.ndarray:
+        return np.array(self._outputs("value", point))
+
+    def _entries(self, x: np.ndarray) -> np.ndarray:
+        return np.array(self._outputs("derivatives", x.tolist()))
+
+    def _jacobian(self, x: np.ndarray) -> np.ndarray:
+        n = self.dimension
+        return self._entries(x)[self._layout.jacobian].reshape(n, n)
+
+    def _hessian(self, x: np.ndarray):
+        layout = self._layout
+        entries = self._entries(x)
+        n = self.dimension
+        return (entries[layout.jacobian].reshape(n, n), layout.target, layout.column,
+                entries[layout.source])
+
+
+def _check_state(vf, x) -> np.ndarray:
     state = np.asarray(x, dtype=float)
     if state.shape != (vf.dimension,):
         raise ValueError(f"state has shape {state.shape}, expected ({vf.dimension},)")
     return state
 
 
-def eval_field(vf: VectorField, x) -> np.ndarray:
+def eval_field(vf, x) -> np.ndarray:
     """(f1(x), ..., fn(x)) from the value kernels; domain errors carry the
     component index."""
-    point = _check_state(vf, x).tolist()
-    out = []
-    for k, kernels in enumerate(vf._kernels):
-        try:
-            out.append(kernels.value(point))
-        except DomainError as err:
-            raise FieldDomainError(k, err) from err
-    return np.array(out)
+    return vf._values(_check_state(vf, x).tolist())
 
 
-def field_derivatives(vf: VectorField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def field_derivatives(vf, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, Jacobian and the (n, n, n) Hessian stack, [i, j, k] =
-    d2 f_i / dx_j dx_k, from one derivative kernel call per component."""
+    d2 f_i / dx_j dx_k."""
     state = _check_state(vf, x)
-    layout = vf._layout
-    entries = _kernel_entries(vf, state)
     n = vf.dimension
+    # the derivative kernels check all that the value kernels do, and more
+    jac, target, column, entries = vf._hessian(state)
     hess = np.zeros(n * n * n)
-    hess[layout.target * n + layout.column] = entries[layout.source]
-    return (entries[layout.value], entries[layout.jacobian].reshape(n, n),
-            hess.reshape(n, n, n))
+    hess[target * n + column] = entries
+    return vf._values(state.tolist()), jac, hess.reshape(n, n, n)
 
 
-def jacobian(vf: VectorField, x) -> np.ndarray:
+def jacobian(vf, x) -> np.ndarray:
     """Matrix of partial derivatives df_i/dx_j at the state."""
-    state = _check_state(vf, x)
-    n = vf.dimension
     # read straight from the derivative kernels; no Hessian is formed
-    return _kernel_entries(vf, state)[vf._layout.jacobian].reshape(n, n)
+    return vf._jacobian(_check_state(vf, x))
+
+
+def _jacobian_hessian_product(vf, x: np.ndarray,
+                              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J(x) and H y, read from the compiled kernels; the (n, n, n) Hessian
+    stack is never formed."""
+    jac, target, column, entries = vf._hessian(x)
+    n = vf.dimension
+    product = np.bincount(target, entries * y[column], minlength=n * n)
+    return jac, product.reshape(n, n)
 
 
 class _Layout(NamedTuple):
     """Where the flat kernel outputs of all components land. The outputs are
     concatenated after a leading zero slot.
 
-    Component i's value is entries[value[i]]. The flat Jacobian is
-    entries[jacobian]; structurally zero entries read the zero slot. Each
-    Hessian entry d2 f_i/dx_j dx_k is entries[source[e]] for one e with
-    target[e] = i * n + j and column[e] = k; an off-diagonal entry has one e
-    per mirror position. The Hessian-vector product (H y)[i, j] therefore
-    sums entries[source[e]] * y[column[e]] into flat index target[e], each
-    target summing its terms in ascending k.
+    The flat Jacobian is entries[jacobian]; structurally zero entries read
+    the zero slot. The Hessian entry of (target[e], column[e]) is
+    entries[source[e]]; an off-diagonal entry has one e per mirror
+    position.
     """
 
-    value: np.ndarray
     jacobian: np.ndarray
     target: np.ndarray
     source: np.ndarray
@@ -153,12 +179,10 @@ class _Layout(NamedTuple):
 
 def _field_layout(vf: VectorField) -> _Layout:
     n = vf.dimension
-    value = np.empty(n, dtype=np.intp)
     jacobian = np.zeros(n * n, dtype=np.intp)
     target, column, source = [], [], []
     offset = 1
     for i, kernels in enumerate(vf._kernels):
-        value[i] = offset
         jacobian[i * n + kernels.deps] = offset + 1 + np.arange(len(kernels.deps))
         target.append(i * n + kernels.rows)
         column.append(kernels.cols)
@@ -166,29 +190,4 @@ def _field_layout(vf: VectorField) -> _Layout:
         offset += kernels.width
     target, column, source = (np.concatenate(a) for a in (target, column, source))
     order = np.lexsort((column, target))
-    return _Layout(value, jacobian, target[order], source[order], column[order])
-
-
-def _kernel_entries(vf: VectorField, x: np.ndarray) -> np.ndarray:
-    """Every component's derivative kernel output at x, laid out as _Layout
-    describes."""
-    point = x.tolist()
-    out = [0.0]
-    for k, kernels in enumerate(vf._kernels):
-        try:
-            out += kernels.derivatives(point)
-        except DomainError as err:
-            raise FieldDomainError(k, err) from err
-    return np.array(out)
-
-
-def _jacobian_hessian_product(vf: VectorField, x: np.ndarray,
-                              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J(x) and H y, read from each component's compiled kernel; the
-    (n, n, n) Hessian stack is never formed."""
-    layout = vf._layout
-    entries = _kernel_entries(vf, x)
-    n = vf.dimension
-    product = np.bincount(layout.target, entries[layout.source] * y[layout.column],
-                          minlength=n * n)
-    return entries[layout.jacobian].reshape(n, n), product.reshape(n, n)
+    return _Layout(jacobian, target[order], source[order], column[order])

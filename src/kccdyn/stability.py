@@ -42,7 +42,6 @@ __all__ = [
     "eigenvalues",
     "find_fixed_points",
     "hurwitz_determinants",
-    "hurwitz_matrix",
     "is_hurwitz_stable",
     "jacobi_classify",
     "lyapunov_classify",
@@ -135,19 +134,6 @@ def eigenvalues(A) -> list[complex]:
 
 # ---------------------------------------------------------------------------
 # Routh-Hurwitz and Descartes
-
-
-def hurwitz_matrix(p: CharPoly) -> np.ndarray:
-    """H[i, j] = a_(2(j+1)-(i+1)) with a_0 = 1 and zero outside 0..n."""
-    a = p.coefficients
-    n = p.degree
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            k = 2 * (j + 1) - (i + 1)
-            if 0 <= k <= n:
-                H[i, j] = a[k]
-    return H
 
 
 def _dyadic(a: float) -> tuple[int, int]:

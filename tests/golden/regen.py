@@ -95,10 +95,10 @@ def run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(name: str, scratch: Path) -> dict:
+def run_case(name: str, base: Path) -> dict:
     """What the case produces: exit code, stdout, stderr and the CSV, if
     any, as text."""
-    workdir = scratch / name
+    workdir = base / name
     shutil.copytree(INPUTS, workdir)
     code, out, err = run(CASES[name], workdir)
     csv_path = workdir / "out.csv"
@@ -112,9 +112,9 @@ def main() -> int:
     for stale in HERE.iterdir():
         if stale.is_dir() and stale != INPUTS and stale.name not in CASES:
             shutil.rmtree(stale)
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as base:
         for name, argv in CASES.items():
-            result = run_case(name, Path(scratch))
+            result = run_case(name, Path(base))
             case = HERE / name
             shutil.rmtree(case, ignore_errors=True)
             case.mkdir()

@@ -1,8 +1,9 @@
 """Shared test oracles: finite differences (also of the KCC pieces of a
 plain second-order G), complex multiset matching, the dense second-order
 dual-number interpreter that the compiled expression kernels replaced,
-Hurwitz minors in exact rational arithmetic, and closed forms of the
-deviation tensor, kept as references to compare the library against."""
+Hurwitz minors in exact rational arithmetic, closed forms of the
+deviation tensor, and the network field assembled as one expression tree
+per component, kept as references to compare the library against."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from kccdyn.exprdsl import BinOp, Call, DomainError, Neg, Num, Var, _render
+from kccdyn.exprdsl import BinOp, Call, DomainError, Expression, Neg, Num, Var, _render, _transform
 from kccdyn.models import laplacian
+from kccdyn.odesys import VectorField
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -492,19 +494,50 @@ def network_deviation_tensor(spec, x, y) -> np.ndarray:
         M    = J_F - sigma L J_H
         P^i_j = 1/2 sum_n (d2F_i/dx_j dx_n - sigma sum_r L_ir d2H_r/dx_j dx_n) y^n
                 + 1/4 (M^2)^i_j
-    """
+
+    where F_i = F(x_i) and H_r = H(x_r), so J_F, J_H and each Hessian are
+    diagonal."""
     N = spec.graph.node_count
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != (N,) or yv.shape != (N,):
         raise ValueError(f"state/velocity must have shape ({N},)")
     L = laplacian(spec.graph)
-    jets_f = [expr.with_derivatives(xv) for expr in spec.evolution]
-    jets_h = [expr.with_derivatives(xv) for expr in spec.coupling]
-    jac_f = np.stack([grad for _, grad, _ in jets_f])
-    jac_h = np.stack([grad for _, grad, _ in jets_h])
-    hess_f = np.stack([hess for _, _, hess in jets_f])
-    hess_h = np.stack([hess for _, _, hess in jets_h])
+    diagonal = np.arange(N)
+
+    def jets(template):
+        out = [template.with_derivatives([v]) for v in xv]
+        jac = np.diag([grad[0] for _, grad, _ in out])
+        hess = np.zeros((N, N, N))
+        hess[diagonal, diagonal, diagonal] = [h[0, 0] for _, _, h in out]
+        return jac, hess
+
+    jac_f, hess_f = jets(spec.evolution)
+    jac_h, hess_h = jets(spec.coupling)
     M = jac_f - spec.sigma * (L @ jac_h)
     curvature = hess_f - spec.sigma * np.einsum("ir,rjn->ijn", L, hess_h)
     return 0.5 * np.einsum("ijn,n->ij", curvature, yv) + 0.25 * (M @ M)
+
+
+def network_tree_field(spec) -> VectorField:
+    """The network field as one expression tree per component: each template
+    with its variable renamed to x_i, and component i = ((F_i - w_1 H_r1)
+    - w_2 H_r2) - ... over the non-zero weights w = sigma L_ir, r
+    ascending."""
+    N = spec.graph.node_count
+    names = tuple(f"x{i + 1}" for i in range(N))
+    L = laplacian(spec.graph)
+
+    def at(template, i):
+        return _transform(template.root, lambda var: Var(i))
+
+    components = []
+    for i in range(N):
+        root = at(spec.evolution, i)
+        for r in range(N):
+            weight = spec.sigma * L[i, r]
+            if weight == 0.0:
+                continue
+            root = BinOp("-", root, BinOp("*", Num(weight), at(spec.coupling, r)))
+        components.append(Expression(root=root, variables=names))
+    return VectorField(components=tuple(components), name="network")

@@ -359,6 +359,25 @@ class TestDeviate:
         assert code == EXIT_DIVERGED
         assert "truncated" in err
 
+    @pytest.mark.parametrize("argv,exit_code,samples", [
+        # y0 = f(x0) overflows: the run stops at once
+        (["--x0", "1e120,0"], EXIT_DIVERGED, 1),
+        # J^2 / 4 overflows, the one tiny step does not
+        (["--x0=2e77,0", "--y0=0,0", "--t-end", "1e-160", "--dt", "1e-160"], EXIT_INPUT, 2),
+    ])
+    def test_spectrum_out_of_range_reported(self, tmp_path, capsys, argv, exit_code, samples):
+        # warnings are errors here, so an overflow warning would fail the test
+        path = tmp_path / "cube.ini"
+        path.write_text("[system]\nvariables = x, y\nf1 = x*x*x\nf2 = y\n")
+        out_path = tmp_path / "o.csv"
+        code, out, err = run_cli(capsys, "deviate", str(path), *argv, "--out", str(out_path))
+        assert code == exit_code
+        assert f"wrote {samples} samples" in out
+        assert "deviation tensor spectrum at x0 cannot be computed: " in err
+        assert ("integration truncated" in err) == (exit_code == EXIT_DIVERGED)
+        with out_path.open() as handle:
+            assert len(list(csv.reader(handle))) == samples + 1
+
 
 class TestLoadDefinition:
     def test_builtin_carries_search_box(self):

@@ -18,12 +18,9 @@ from kccdyn.exprdsl import (
     UnknownIdentifierError,
     Var,
     parse,
-    remap_variables,
     shift_variables,
     _walk,
 )
-
-from kccdyn._codegen import compile_expressions
 
 from helpers import fd_gradient, fd_hessian, oracle_derivatives, oracle_value
 
@@ -517,54 +514,6 @@ class TestCompiledAgainstOracle:
         assert np.array_equal(before[2], after[2])
 
 
-# A width m and two order-preserving placements of the two tree variables.
-_EMBEDDINGS = st.integers(2, 5).flatmap(lambda m: st.tuples(
-    st.just(m),
-    *[st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True).map(sorted)] * 2))
-_FILLERS = st.lists(_COORDINATES, min_size=5, max_size=5)
-
-
-class TestSharedShapeAgainstOracle:
-    """One random tree placed at two positions of a wider variable list is
-    one shape: both placements run the same compiled code, each with its own
-    variable indices and fragments, and each matches the oracle exactly."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_TREES, _POINTS, _EMBEDDINGS, _FILLERS)
-    def test_embeddings_match_oracle(self, root, point, embedding, fillers):
-        m, *placements = embedding
-        assume(not _cancelling_exponent(root, point))
-        kind, expected = _outcome(oracle_derivatives, Expression(root, _NAMES), point)
-        assume(kind != "ok" or all(np.isfinite(np.asarray(v)).all() for v in expected))
-        exprs, points = [], []
-        for a, b in placements:
-            names = [f"w{k}" for k in range(m)]
-            names[a], names[b] = _NAMES
-            exprs.append(remap_variables(Expression(root, _NAMES), names, {0: a, 1: b}))
-            wide = fillers[:m]
-            wide[a], wide[b] = point
-            points.append(wide)
-        first, second = compile_expressions(exprs)
-        assert first.value.__code__ is second.value.__code__
-        assert first.derivatives.__code__ is second.derivatives.__code__
-        for expr, wide in zip(exprs, points):
-            kind, expected = _outcome(oracle_derivatives, expr, wide)
-            got_kind, got = _outcome(Expression.with_derivatives, expr, wide)
-            assert got_kind == kind, (str(expr), wide, got, expected)
-            if kind != "ok":
-                assert got == expected
-            else:
-                assert got[0] == expected[0]
-                assert np.array_equal(got[1], expected[1])
-                assert np.array_equal(got[2], expected[2])
-            if not _constant_exponents(root):
-                continue
-            kind, expected = _outcome(oracle_value, expr, wide)
-            got_kind, got = _outcome(Expression.evaluate, expr, wide)
-            assert got_kind == kind, (str(expr), wide, got, expected)
-            assert got == expected or (kind == "ok" and math.isnan(got) and math.isnan(expected))
-
-
 class TestRoundTrip:
     @pytest.mark.parametrize("source,n", SMOOTH_CORPUS + [
         ("-x1*(1 - x1 + 3*x2)", 2),
@@ -623,12 +572,6 @@ class TestRewrites:
         expr = parse("sin(x1)*x2", ["x1", "x2"])
         shifted = shift_variables(expr, [0.0, 0.0])
         assert shifted == expr
-
-    def test_remap_variables(self):
-        template = parse("u^2 - u", ["u"])
-        remapped = remap_variables(template, ["a", "b", "c"], {0: 2})
-        assert remapped.evaluate([9.0, 9.0, 3.0]) == 6.0
-        assert str(remapped) == "c^2-c"
 
     def test_expression_validates_indices(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ bounds) and the positions of null match exactly, and every float within
 import csv
 import io
 import json
-import math
 
 import pytest
 
@@ -22,7 +21,7 @@ def _close(a: float, b: float) -> bool:
 
 
 def _assert_same(got, expected, where="$"):
-    if isinstance(expected, float) and isinstance(got, float) and not isinstance(got, bool):
+    if isinstance(expected, float) and isinstance(got, float):
         assert _close(got, expected), f"{where}: {got!r} != {expected!r}"
         return
     assert type(got) is type(expected), f"{where}: {got!r} != {expected!r}"

@@ -3,6 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kccdyn.exprdsl import parse
 from kccdyn.kcc import lift
 from kccdyn.models import (
     AdjacencyGraph,
@@ -16,10 +20,17 @@ from kccdyn.models import (
     read_graph,
     translate_to_origin,
 )
-from kccdyn.odesys import VectorField, eval_field, jacobian
+from kccdyn.odesys import (
+    FieldDomainError,
+    VectorField,
+    _jacobian_hessian_product,
+    eval_field,
+    field_derivatives,
+    jacobian,
+)
 from kccdyn.stability import analyze_fixed_point, eigenvalues, find_fixed_points
 
-from helpers import assert_complex_multisets_close, network_deviation_tensor
+from helpers import assert_complex_multisets_close, network_deviation_tensor, network_tree_field
 
 
 class TestLcdm:
@@ -102,7 +113,8 @@ class TestNetworkSystem:
         g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
         spec = NetworkSpec.uniform(g, "u - u^3", "sin(u)", sigma=0.0)
         field = network_system(spec)
-        uncoupled = VectorField(components=spec.evolution)
+        uncoupled = VectorField.from_expressions(
+            [f"x{i} - x{i}^3" for i in (1, 2, 3)], ["x1", "x2", "x3"])
         rng = np.random.default_rng(2)
         for x in rng.uniform(-2, 2, size=(10, 3)):
             assert np.array_equal(eval_field(field, x), eval_field(uncoupled, x))
@@ -167,11 +179,60 @@ class TestNetworkSystem:
                 assert np.max(np.abs(generic - closed)) <= 1e-9
 
     def test_dimension_validation(self):
+        # templates are over the one node variable
         g = AdjacencyGraph.from_edges(2, [(0, 1)])
-        from kccdyn.exprdsl import parse
-        short = (parse("x1", ["x1", "x2"]),)
+        wide = parse("x1", ["x1", "x2"])
         with pytest.raises(ValueError):
-            NetworkSpec(graph=g, evolution=short, coupling=short, sigma=1.0)
+            NetworkSpec(graph=g, evolution=wide, coupling=wide, sigma=1.0)
+
+
+_LAWS = ["u - u^3", "sin(u)", "u - ln(u)", "u^1.5", "sqrt(u)", "abs(u)"]
+_COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    sigma = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0, allow_nan=False)))
+    spec = NetworkSpec.uniform(AdjacencyGraph.from_edges(n, edges),
+                               draw(st.sampled_from(_LAWS)), draw(st.sampled_from(_LAWS)), sigma)
+    x = np.array(draw(st.lists(_COORDINATE, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(_COORDINATE, min_size=n, max_size=n)))
+    return spec, x, y
+
+
+def _outcome(call):
+    """The bytes of every array returned, or what the domain error names."""
+    try:
+        out = call()
+    except FieldDomainError as err:
+        return "error", err.component, err.error.reason, err.error.offset
+    return "ok", [np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestNetworkFieldAgainstOracle:
+    """The node-law field against the field of one expression tree per
+    component: bit for bit, and the same component, reason and offset in
+    its domain errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_networks())
+    # F fails at node 0 and so does H, which row 0 reads too: F's error wins
+    @example((NetworkSpec.uniform(AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)]),
+                                  "u - ln(u)", "u^1.5", 1.0),
+              np.array([-1.0, 2.0, 1.0]), np.zeros(3)))
+    def test_matches_tree_oracle(self, case):
+        spec, x, y = case
+        field, oracle = network_system(spec), network_tree_field(spec)
+        for call in (lambda f: eval_field(f, x), lambda f: jacobian(f, x),
+                     lambda f: field_derivatives(f, x),
+                     lambda f: _jacobian_hessian_product(f, x, y),
+                     lambda f: lift(f).motion_terms(x, y)):
+            assert _outcome(lambda: call(field)) == _outcome(lambda: call(oracle))
 
 
 class TestTranslateToOrigin:
@@ -208,6 +269,12 @@ class TestTranslateToOrigin:
             assert moved.jacobi_verdict == original.jacobi_verdict
             assert_complex_multisets_close(moved.eigenvalues,
                                            original.eigenvalues, 1e-9)
+
+    def test_network_field_refused(self):
+        g = AdjacencyGraph.from_edges(2, [(0, 1)])
+        field = network_system(NetworkSpec.uniform(g, "u - u^3", "sin(u)", 0.5))
+        with pytest.raises(ValueError, match="network"):
+            translate_to_origin(field, [0.0, 0.0])
 
     def test_translated_fixed_points_found(self):
         vf = translate_to_origin(lcdm_system(), [0.0, 1.0])

@@ -20,7 +20,6 @@ from kccdyn.stability import (
     eigenvalues,
     find_fixed_points,
     hurwitz_determinants,
-    hurwitz_matrix,
     is_hurwitz_stable,
     jacobi_classify,
     lyapunov_classify,
@@ -156,16 +155,6 @@ class TestHurwitz:
         p = _poly(1, -1, 1)
         assert hurwitz_determinants(p)[0] == -1.0
         assert not is_hurwitz_stable(p)
-
-    def test_quartic_matrix_pattern(self):
-        p = _poly(1, 2, 3, 4, 5)
-        expected = np.array([
-            [2.0, 4.0, 0.0, 0.0],
-            [1.0, 3.0, 5.0, 0.0],
-            [0.0, 2.0, 4.0, 0.0],
-            [0.0, 1.0, 3.0, 5.0],
-        ])
-        assert np.array_equal(hurwitz_matrix(p), expected)
 
     def test_agrees_with_roots(self):
         rng = np.random.default_rng(4)
